@@ -191,12 +191,12 @@ func benchEstimatePoint(b *testing.B, workers int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	prov := threshold.Provider(mem.Circuit, s.AllQubits())
+	in := threshold.Input{Circuit: mem.Circuit, IdleQubits: s.AllQubits()}
 	cfg := threshold.Config{Shots: 20000, Seed: 1, Workers: workers}
 	b.ResetTimer()
 	shots := 0
 	for i := 0; i < b.N; i++ {
-		pt, err := threshold.EstimatePoint(prov, 0.003, cfg)
+		pt, err := threshold.EstimatePoint(in, 0.003, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}

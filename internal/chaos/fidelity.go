@@ -152,7 +152,7 @@ func RunFidelityLadder(ctx context.Context, g FidelityGroup, seed int64, shots i
 	if err != nil {
 		return nil, fidelityViolation(base, fmt.Sprintf("memory experiment: %v", err))
 	}
-	prov := threshold.Provider(m.Circuit, s.AllQubits())
+	in := threshold.Input{Circuit: m.Circuit, IdleQubits: s.AllQubits()}
 
 	for _, snapshot := range device.CalibrationSnapshots() {
 		sc := FidelityScenario{Group: g, Snapshot: snapshot, Seed: seed}
@@ -181,7 +181,7 @@ func RunFidelityLadder(ctx context.Context, g FidelityGroup, seed int64, shots i
 		}
 
 		p := noise.ReferenceRate(cal)
-		pt, err := threshold.EstimatePointContext(ctx, prov, p, threshold.Config{
+		pt, err := threshold.EstimatePointContext(ctx, in, p, threshold.Config{
 			Shots: shots,
 			Seed:  seed,
 			Noise: noise.BuilderFor(calDev),

@@ -16,9 +16,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-
-	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"surfstitch/internal/dem"
@@ -427,7 +424,7 @@ func quantWeight(w float64) int64 {
 // Decode predicts the observable flips for one shot's defect set (the list
 // of flipped detector indices). It returns an error when a defect cannot be
 // matched (disconnected matching graph). Hot loops should prefer
-// DecodeWithScratch or DecodeRange, which reuse buffers across shots.
+// DecodeWithScratch or DecodeRangeScratch, which reuse buffers across shots.
 func (d *Decoder) Decode(defects []int) (uint64, error) {
 	obs, _, _, err := d.decode(defects, nil)
 	return obs, err
@@ -722,21 +719,14 @@ func (s Stats) Merge(o Stats) Stats {
 	return out
 }
 
-// DecodeRange decodes shots [lo, hi) of a batch serially on the calling
-// goroutine and compares predictions against the actual observable flips.
-// The decoder's tables are immutable (or published atomically) after
-// construction, so disjoint ranges decode concurrently; callers that shard
-// a batch merge the per-range Stats. It allocates one scratch arena for the
-// whole range; loops that decode many ranges should hold a Scratch and call
-// DecodeRangeScratch.
-func (d *Decoder) DecodeRange(batch *frame.Batch, lo, hi int) (Stats, error) {
-	return d.DecodeRangeScratch(batch, lo, hi, d.NewScratch())
-}
-
-// DecodeRangeScratch is DecodeRange with a caller-owned scratch arena: the
-// per-shot defect list, matching edges, cache keys and blossom state all
-// live in s, so the steady-state hot loop does not allocate. The scratch
-// must not be shared between concurrent calls.
+// DecodeRangeScratch decodes shots [lo, hi) of a batch serially on the
+// calling goroutine and compares predictions against the actual observable
+// flips. The per-shot defect list, matching edges, cache keys and blossom
+// state all live in the caller-owned scratch s, so the steady-state hot loop
+// does not allocate; s must not be shared between concurrent calls. The
+// decoder's tables are immutable (or published atomically) after
+// construction, so disjoint ranges decode concurrently with one scratch
+// each, and callers that shard a batch merge the per-range Stats.
 func (d *Decoder) DecodeRangeScratch(batch *frame.Batch, lo, hi int, s *Scratch) (Stats, error) {
 	var stats Stats
 	for shot := lo; shot < hi; shot++ {
@@ -778,51 +768,10 @@ func (d *Decoder) DecodeRangeScratch(batch *frame.Batch, lo, hi int, s *Scratch)
 	return stats, nil
 }
 
-// DecodeBatch decodes every shot of a sampled batch in parallel. The
-// Monte-Carlo engine prefers DecodeRange inside its own workers (one level
-// of parallelism, not two); DecodeBatch remains the convenient entry point
-// for one-off batches.
+// DecodeBatch decodes every shot of a sampled batch serially with a fresh
+// scratch: the convenient entry point for one-off batches. Parallel decoding
+// belongs to the Monte-Carlo engine (internal/mc), whose workers each call
+// DecodeRangeScratch on their own chunk.
 func (d *Decoder) DecodeBatch(batch *frame.Batch) (Stats, error) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > batch.Shots {
-		workers = batch.Shots
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-		total    Stats
-	)
-	chunk := (batch.Shots + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > batch.Shots {
-			hi = batch.Shots
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			local, err := d.DecodeRange(batch, lo, hi)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				return
-			}
-			total = total.Merge(local)
-		}(lo, hi)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return Stats{Shots: batch.Shots}, firstErr
-	}
-	return total, nil
+	return d.DecodeRangeScratch(batch, 0, batch.Shots, d.NewScratch())
 }

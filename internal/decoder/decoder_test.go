@@ -247,12 +247,13 @@ func TestDecodeRangeShardsMatchBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	var merged Stats
+	scratch := dec.NewScratch()
 	for lo := 0; lo < batch.Shots; lo += 170 {
 		hi := lo + 170
 		if hi > batch.Shots {
 			hi = batch.Shots
 		}
-		part, err := dec.DecodeRange(batch, lo, hi)
+		part, err := dec.DecodeRangeScratch(batch, lo, hi, scratch)
 		if err != nil {
 			t.Fatal(err)
 		}

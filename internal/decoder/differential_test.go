@@ -199,23 +199,16 @@ func TestFastPathMatchesSlowPathOnSampledBatches(t *testing.T) {
 		for shot := 0; shot < batch.Shots; shot++ {
 			diffDecoders(t, fast, slow, s, batch.ShotDetectors(shot))
 		}
-		fastStats, err := fast.DecodeRange(batch, 0, batch.Shots)
+		fastStats, err := fast.DecodeBatch(batch)
 		if err != nil {
 			t.Fatal(err)
 		}
-		slowStats, err := slow.DecodeRange(batch, 0, batch.Shots)
+		slowStats, err := slow.DecodeBatch(batch)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if fastStats.Shots != slowStats.Shots || fastStats.LogicalErrors != slowStats.LogicalErrors {
 			t.Fatalf("d=%d: fast stats %+v != slow stats %+v", d, fastStats, slowStats)
-		}
-		parallel, err := fast.DecodeBatch(batch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if parallel.Shots != fastStats.Shots || parallel.LogicalErrors != fastStats.LogicalErrors {
-			t.Fatalf("d=%d: DecodeBatch %+v != serial %+v", d, parallel, fastStats)
 		}
 	}
 }
@@ -275,7 +268,7 @@ func TestSyndromeCacheCountersAndBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	batch := sampler.Sample(1500)
-	stats, err := dec.DecodeRange(batch, 0, batch.Shots)
+	stats, err := dec.DecodeBatch(batch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +293,7 @@ func TestSyndromeCacheCountersAndBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	offStats, err := off.DecodeRange(batch, 0, batch.Shots)
+	offStats, err := off.DecodeBatch(batch)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,7 @@ import (
 // list, matching edge buffer, syndrome-cache key buffer, the blossom
 // matcher's internal state and (when union-find is enabled) the uf arena,
 // all reused across shots so that steady-state decoding does not allocate.
-// DecodeRange creates one per call; callers that decode many ranges (the
+// DecodeBatch creates one per call; callers that decode many ranges (the
 // Monte-Carlo chunk loop) should hold one per worker and use
 // DecodeRangeScratch. A Scratch must never be shared between concurrent
 // calls.

@@ -165,7 +165,7 @@ func TestUFStatsCountersInDecodeRange(t *testing.T) {
 		t.Fatal(err)
 	}
 	batch := sampler.Sample(2000)
-	st, err := dec.DecodeRange(batch, 0, batch.Shots)
+	st, err := dec.DecodeRangeScratch(batch, 0, batch.Shots, dec.NewScratch())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,11 +293,11 @@ func TestUFWilsonBoundLER(t *testing.T) {
 					t.Fatal(err)
 				}
 				batch := sampler.Sample(shots)
-				ufStats, err := ufDec.DecodeRange(batch, 0, batch.Shots)
+				ufStats, err := ufDec.DecodeBatch(batch)
 				if err != nil {
 					t.Fatal(err)
 				}
-				blStats, err := blossom.DecodeRange(batch, 0, batch.Shots)
+				blStats, err := blossom.DecodeBatch(batch)
 				if err != nil {
 					t.Fatal(err)
 				}

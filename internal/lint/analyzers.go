@@ -7,8 +7,6 @@ func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		RNGStream,
 		ErrDrop,
-		LockCopy,
-		LoopCapture,
 		PanicCheck,
 		CtxLeak,
 		AtomicMix,

@@ -1,18 +1,14 @@
 package paper
 
 import (
-	"context"
 	"fmt"
-	"math/rand"
 
 	"surfstitch/internal/decoder"
-	"surfstitch/internal/dem"
 	"surfstitch/internal/device"
-	"surfstitch/internal/experiment"
-	"surfstitch/internal/frame"
-	"surfstitch/internal/noise"
+	"surfstitch/internal/obs"
 	"surfstitch/internal/stats"
 	"surfstitch/internal/synth"
+	"surfstitch/internal/threshold"
 )
 
 // AblationResult compares a design choice against its ablated variant.
@@ -56,6 +52,42 @@ func AblationTreeMethod() (AblationResult, error) {
 	return res, nil
 }
 
+// ablationP is the physical error rate of the logical-rate ablations.
+const ablationP = 0.002
+
+// ablationPoint estimates the logical error rate of a memory at ablationP
+// on the Monte-Carlo engine, decoding with the given options.
+func ablationPoint(cfg Config, in threshold.Input, opts decoder.Options) (threshold.Point, error) {
+	tc := cfg.thresholdConfig()
+	tc.Decoder = opts
+	return threshold.EstimatePointContext(cfg.ctx(), in, ablationP, tc)
+}
+
+// heavySquareD5 assembles the distance-5 heavy-square memory the decoder
+// ablations measure.
+func heavySquareD5(cfg Config) (threshold.Input, error) {
+	s, err := CodeSpec{Kind: device.KindHeavySquare}.BuildContext(cfg.ctx(), 5)
+	if err != nil {
+		return threshold.Input{}, err
+	}
+	return memoryInput(s)
+}
+
+// decoderAblation measures the distance-5 heavy-square memory with the
+// default decoder (the baseline) and with the ablated decoder options, on
+// the same seeded sample streams.
+func decoderAblation(cfg Config, ablated decoder.Options) (base, abl threshold.Point, err error) {
+	in, err := heavySquareD5(cfg)
+	if err != nil {
+		return base, abl, err
+	}
+	if base, err = ablationPoint(cfg, in, decoder.Options{}); err != nil {
+		return base, abl, err
+	}
+	abl, err = ablationPoint(cfg, in, ablated)
+	return base, abl, err
+}
+
 // AblationHookOrientation measures the hook-orientation rule discovered
 // during this reproduction: the distance-5 heavy-square code on a 5x4
 // tiling (benign horizontal X hooks) versus the transposed 4x5 tiling
@@ -65,26 +97,23 @@ func AblationHookOrientation(cfg Config) (AblationResult, error) {
 	cfg = cfg.withDefaults()
 	res := AblationResult{Name: "hook orientation", Unit: "logical error rate @ p=0.002"}
 	rate := func(dev *device.Device) (float64, error) {
-		layout, err := synth.Allocate(context.Background(), dev, 5, synth.ModeDefault)
+		s, err := synth.Synthesize(cfg.ctx(), dev, 5, synth.Options{})
 		if err != nil {
 			return 0, err
 		}
-		s, err := synth.SynthesizeOnLayout(layout, synth.Options{})
+		in, err := memoryInput(s)
 		if err != nil {
 			return 0, err
 		}
-		return logicalRateOf(s, 0.002, cfg)
+		pt, err := ablationPoint(cfg, in, decoder.Options{})
+		return pt.Logical, err
 	}
-	good, err := rate(device.HeavySquare(5, 4))
-	if err != nil {
+	var err error
+	if res.Baseline, err = rate(device.HeavySquare(5, 4)); err != nil {
 		return res, err
 	}
-	bad, err := rate(device.HeavySquare(4, 5))
-	if err != nil {
-		return res, err
-	}
-	res.Baseline, res.Ablated = good, bad
-	return res, nil
+	res.Ablated, err = rate(device.HeavySquare(4, 5))
+	return res, err
 }
 
 // AblationDecoderPeeling measures the elementary-edge peeling of the
@@ -93,46 +122,9 @@ func AblationHookOrientation(cfg Config) (AblationResult, error) {
 func AblationDecoderPeeling(cfg Config) (AblationResult, error) {
 	cfg = cfg.withDefaults()
 	res := AblationResult{Name: "decoder hyperedge peeling", Unit: "logical error rate @ p=0.002"}
-	_, layout, err := synth.FitDevice(device.KindHeavySquare, 5, synth.ModeDefault)
-	if err != nil {
-		return res, err
-	}
-	s, err := synth.SynthesizeOnLayout(layout, synth.Options{})
-	if err != nil {
-		return res, err
-	}
-	m, err := experiment.NewMemory(s, 15, experiment.Options{})
-	if err != nil {
-		return res, err
-	}
-	noisy, err := m.Noisy(noise.Model{GateError: 0.002, IdleError: noise.DefaultIdleError})
-	if err != nil {
-		return res, err
-	}
-	model, err := dem.FromCircuit(noisy)
-	if err != nil {
-		return res, err
-	}
-	for i, naive := range []bool{false, true} {
-		dec, err := decoder.NewWithOptions(model, decoder.Options{NaiveDecomposition: naive})
-		if err != nil {
-			return res, err
-		}
-		sampler, err := frame.NewSampler(noisy, rand.New(rand.NewSource(cfg.Seed)))
-		if err != nil {
-			return res, err
-		}
-		stats, err := dec.DecodeBatch(sampler.Sample(cfg.Shots))
-		if err != nil {
-			return res, err
-		}
-		if i == 0 {
-			res.Baseline = stats.LogicalErrorRate()
-		} else {
-			res.Ablated = stats.LogicalErrorRate()
-		}
-	}
-	return res, nil
+	base, abl, err := decoderAblation(cfg, decoder.Options{NaiveDecomposition: true})
+	res.Baseline, res.Ablated = base.Logical, abl.Logical
+	return res, err
 }
 
 // AblationDecoderFastPath checks that the sparse-syndrome fast path is a
@@ -143,46 +135,12 @@ func AblationDecoderPeeling(cfg Config) (AblationResult, error) {
 func AblationDecoderFastPath(cfg Config) (AblationResult, error) {
 	cfg = cfg.withDefaults()
 	res := AblationResult{Name: "decoder fast path", Unit: "logical error rate @ p=0.002 (must match)"}
-	_, layout, err := synth.FitDevice(device.KindHeavySquare, 5, synth.ModeDefault)
+	base, abl, err := decoderAblation(cfg, decoder.Options{ForceSlowPath: true})
+	res.Baseline, res.Ablated = base.Logical, abl.Logical
 	if err != nil {
 		return res, err
 	}
-	s, err := synth.SynthesizeOnLayout(layout, synth.Options{})
-	if err != nil {
-		return res, err
-	}
-	m, err := experiment.NewMemory(s, 15, experiment.Options{})
-	if err != nil {
-		return res, err
-	}
-	noisy, err := m.Noisy(noise.Model{GateError: 0.002, IdleError: noise.DefaultIdleError})
-	if err != nil {
-		return res, err
-	}
-	model, err := dem.FromCircuit(noisy)
-	if err != nil {
-		return res, err
-	}
-	for i, slow := range []bool{false, true} {
-		dec, err := decoder.NewWithOptions(model, decoder.Options{ForceSlowPath: slow})
-		if err != nil {
-			return res, err
-		}
-		sampler, err := frame.NewSampler(noisy, rand.New(rand.NewSource(cfg.Seed)))
-		if err != nil {
-			return res, err
-		}
-		stats, err := dec.DecodeBatch(sampler.Sample(cfg.Shots))
-		if err != nil {
-			return res, err
-		}
-		if i == 0 {
-			res.Baseline = stats.LogicalErrorRate()
-		} else {
-			res.Ablated = stats.LogicalErrorRate()
-		}
-	}
-	if res.Baseline != res.Ablated {
+	if base != abl {
 		return res, fmt.Errorf("paper: fast path diverged from slow path: %.6g vs %.6g", res.Baseline, res.Ablated)
 	}
 	return res, nil
@@ -197,87 +155,28 @@ func AblationDecoderFastPath(cfg Config) (AblationResult, error) {
 func AblationDecoderUnionFind(cfg Config) (AblationResult, error) {
 	cfg = cfg.withDefaults()
 	res := AblationResult{Name: "decoder union-find (k>=3)", Unit: "logical error rate @ p=0.002 (Wilson z=3)"}
-	_, layout, err := synth.FitDevice(device.KindHeavySquare, 5, synth.ModeDefault)
+	// The engaged check reads the decoder_uf_total delta: on the caller's
+	// registry when one is set, otherwise on a private one.
+	if cfg.Registry == nil {
+		cfg.Registry = obs.NewRegistry()
+	}
+	ufTotal := cfg.Registry.Counter("decoder_uf_total")
+	before := ufTotal.Value()
+	base, abl, err := decoderAblation(cfg, decoder.Options{UnionFind: true})
+	res.Baseline, res.Ablated = base.Logical, abl.Logical
 	if err != nil {
 		return res, err
 	}
-	s, err := synth.SynthesizeOnLayout(layout, synth.Options{})
-	if err != nil {
-		return res, err
+	if ufTotal.Value() == before {
+		return res, fmt.Errorf("paper: union-find ablation never engaged the union-find path (no k>=3 shots at %d shots)", abl.Shots)
 	}
-	m, err := experiment.NewMemory(s, 15, experiment.Options{})
-	if err != nil {
-		return res, err
-	}
-	noisy, err := m.Noisy(noise.Model{GateError: 0.002, IdleError: noise.DefaultIdleError})
-	if err != nil {
-		return res, err
-	}
-	model, err := dem.FromCircuit(noisy)
-	if err != nil {
-		return res, err
-	}
-	var errCounts [2]int
-	var shots [2]int
-	for i, ufOn := range []bool{false, true} {
-		dec, err := decoder.NewWithOptions(model, decoder.Options{UnionFind: ufOn})
-		if err != nil {
-			return res, err
-		}
-		sampler, err := frame.NewSampler(noisy, rand.New(rand.NewSource(cfg.Seed)))
-		if err != nil {
-			return res, err
-		}
-		st, err := dec.DecodeBatch(sampler.Sample(cfg.Shots))
-		if err != nil {
-			return res, err
-		}
-		errCounts[i], shots[i] = st.LogicalErrors, st.Shots
-		if i == 0 {
-			res.Baseline = st.LogicalErrorRate()
-		} else {
-			res.Ablated = st.LogicalErrorRate()
-			if st.UFShots == 0 {
-				return res, fmt.Errorf("paper: union-find ablation never engaged the union-find path (no k>=3 shots at %d shots)", st.Shots)
-			}
-		}
-	}
-	bLo, bHi := stats.WilsonInterval(errCounts[0], shots[0], 3)
-	uLo, uHi := stats.WilsonInterval(errCounts[1], shots[1], 3)
+	bLo, bHi := stats.WilsonInterval(base.Errors, base.Shots, 3)
+	uLo, uHi := stats.WilsonInterval(abl.Errors, abl.Shots, 3)
 	if bLo > uHi || uLo > bHi {
 		return res, fmt.Errorf("paper: union-find LER %.6g [%.6g,%.6g] outside the blossom's Wilson bound %.6g [%.6g,%.6g]",
 			res.Ablated, uLo, uHi, res.Baseline, bLo, bHi)
 	}
 	return res, nil
-}
-
-// logicalRateOf runs the standard memory pipeline for a synthesis.
-func logicalRateOf(s *synth.Synthesis, p float64, cfg Config) (float64, error) {
-	m, err := experiment.NewMemory(s, 3*s.Layout.Code.Distance(), experiment.Options{})
-	if err != nil {
-		return 0, err
-	}
-	noisy, err := m.Noisy(noise.Model{GateError: p, IdleError: noise.DefaultIdleError})
-	if err != nil {
-		return 0, err
-	}
-	model, err := dem.FromCircuit(noisy)
-	if err != nil {
-		return 0, err
-	}
-	dec, err := decoder.New(model)
-	if err != nil {
-		return 0, err
-	}
-	sampler, err := frame.NewSampler(noisy, rand.New(rand.NewSource(cfg.Seed)))
-	if err != nil {
-		return 0, err
-	}
-	stats, err := dec.DecodeBatch(sampler.Sample(cfg.Shots))
-	if err != nil {
-		return 0, err
-	}
-	return stats.LogicalErrorRate(), nil
 }
 
 // Ablations runs every design-choice ablation.

@@ -3,7 +3,6 @@ package paper
 import (
 	"fmt"
 
-	"surfstitch/internal/experiment"
 	"surfstitch/internal/noise"
 	"surfstitch/internal/synth"
 	"surfstitch/internal/threshold"
@@ -24,17 +23,16 @@ type BudgetEntry struct {
 // matters more as idle error grows.
 func NoiseBudget(s *synth.Synthesis, p float64, cfg Config) ([]BudgetEntry, error) {
 	cfg = cfg.withDefaults()
-	mem, err := experiment.NewMemory(s, 3*s.Layout.Code.Distance(), experiment.Options{})
+	in, err := memoryInput(s)
 	if err != nil {
 		return nil, err
 	}
-	prov := threshold.Provider(mem.Circuit, s.AllQubits())
 
 	rate := func(gate float64, withoutIdle bool) (float64, error) {
 		tc := cfg.thresholdConfig()
 		tc.IdleError = noise.DefaultIdleError
 		tc.NoIdle = withoutIdle
-		pt, err := threshold.EstimatePoint(prov, gate, tc)
+		pt, err := threshold.EstimatePointContext(cfg.ctx(), in, gate, tc)
 		if err != nil {
 			return 0, err
 		}

@@ -122,13 +122,13 @@ func (cs CodeSpec) BuildContext(ctx context.Context, distance int) (*synth.Synth
 	return synth.SynthesizeOnLayoutContext(ctx, layout, synth.Options{Mode: cs.Mode})
 }
 
-// memoryProvider assembles a Z-memory with 3d rounds for threshold runs.
-func memoryProvider(s *synth.Synthesis) (threshold.CircuitProvider, error) {
+// memoryInput assembles a Z-memory with 3d rounds for threshold runs.
+func memoryInput(s *synth.Synthesis) (threshold.Input, error) {
 	m, err := experiment.NewMemory(s, 3*s.Layout.Code.Distance(), experiment.Options{})
 	if err != nil {
-		return nil, err
+		return threshold.Input{}, err
 	}
-	return threshold.Provider(m.Circuit, s.AllQubits()), nil
+	return threshold.Input{Circuit: m.Circuit, IdleQubits: s.AllQubits()}, nil
 }
 
 // CurvePair holds the distance-3 and distance-5 curves of one code plus the
@@ -140,16 +140,16 @@ type CurvePair struct {
 }
 
 // curvePair sweeps one code at distances 3 and 5.
-func curvePair(name string, build func(d int) (threshold.CircuitProvider, error), cfg Config) (CurvePair, error) {
+func curvePair(name string, build func(d int) (threshold.Input, error), cfg Config) (CurvePair, error) {
 	cfg = cfg.withDefaults()
 	out := CurvePair{Name: name}
 	tc := cfg.thresholdConfig()
 	for _, d := range []int{3, 5} {
-		prov, err := build(d)
+		in, err := build(d)
 		if err != nil {
 			return out, err
 		}
-		curve, err := threshold.EstimateCurveContext(cfg.ctx(), fmt.Sprintf("%s d=%d", name, d), d, prov, cfg.Ps, tc)
+		curve, err := threshold.EstimateCurveContext(cfg.ctx(), fmt.Sprintf("%s d=%d", name, d), d, in, cfg.Ps, tc)
 		if d == 3 {
 			out.D3 = curve
 		} else {
@@ -169,30 +169,30 @@ func curvePair(name string, build func(d int) (threshold.CircuitProvider, error)
 // architecture: logical error curves at distances 3 and 5 and the resulting
 // thresholds.
 func Figure9a(cfg Config) ([]CurvePair, error) {
-	surf, err := curvePair("Surf-Stitch Heavy Hexagon", func(d int) (threshold.CircuitProvider, error) {
+	surf, err := curvePair("Surf-Stitch Heavy Hexagon", func(d int) (threshold.Input, error) {
 		s, err := CodeSpec{Kind: device.KindHeavyHexagon}.BuildContext(cfg.ctx(), d)
 		if err != nil {
-			return nil, err
+			return threshold.Input{}, err
 		}
-		return memoryProvider(s)
+		return memoryInput(s)
 	}, cfg)
 	if err != nil {
 		return []CurvePair{surf}, err
 	}
-	ibm, err := curvePair("IBM Heavy Hexagon", func(d int) (threshold.CircuitProvider, error) {
+	ibm, err := curvePair("IBM Heavy Hexagon", func(d int) (threshold.Input, error) {
 		dev, _, err := synth.FitDevice(device.KindHeavyHexagon, d, synth.ModeDefault)
 		if err != nil {
-			return nil, err
+			return threshold.Input{}, err
 		}
 		hh, err := baseline.NewHeavyHexCode(dev, d)
 		if err != nil {
-			return nil, err
+			return threshold.Input{}, err
 		}
 		c, err := hh.MemoryCircuit(3 * d)
 		if err != nil {
-			return nil, err
+			return threshold.Input{}, err
 		}
-		return threshold.Provider(c, hh.IdleQubits()), nil
+		return threshold.Input{Circuit: c, IdleQubits: hh.IdleQubits()}, nil
 	}, cfg)
 	if err != nil {
 		return []CurvePair{surf, ibm}, err
@@ -205,12 +205,12 @@ func Figure9a(cfg Config) ([]CurvePair, error) {
 // paper finds them "almost identical" with equal thresholds), so the figure
 // regenerates both from the same synthesis while keeping separate labels.
 func Figure9b(cfg Config) ([]CurvePair, error) {
-	build := func(d int) (threshold.CircuitProvider, error) {
+	build := func(d int) (threshold.Input, error) {
 		s, err := CodeSpec{Kind: device.KindHeavySquare}.BuildContext(cfg.ctx(), d)
 		if err != nil {
-			return nil, err
+			return threshold.Input{}, err
 		}
-		return memoryProvider(s)
+		return memoryInput(s)
 	}
 	surf, err := curvePair("Surf-Stitch Heavy Square", build, cfg)
 	if err != nil {
@@ -248,12 +248,12 @@ func Table2(cfg Config, withThresholds bool) ([]Table2Row, error) {
 		}
 		if withThresholds {
 			spec := spec
-			pair, err := curvePair(spec.Name, func(d int) (threshold.CircuitProvider, error) {
+			pair, err := curvePair(spec.Name, func(d int) (threshold.Input, error) {
 				s, err := spec.Build(d)
 				if err != nil {
-					return nil, err
+					return threshold.Input{}, err
 				}
-				return memoryProvider(s)
+				return memoryInput(s)
 			}, cfg)
 			if err != nil {
 				return nil, err
@@ -396,7 +396,7 @@ func Figure11a(cfg Config) (Figure11aResult, error) {
 	}
 	out.RoutedCNOTs = sr.CNOTCount
 
-	surfProv, err := memoryProvider(s)
+	surfProv, err := memoryInput(s)
 	if err != nil {
 		return out, err
 	}
@@ -404,7 +404,7 @@ func Figure11a(cfg Config) (Figure11aResult, error) {
 	if err != nil {
 		return out, err
 	}
-	routeProv := threshold.Provider(rc, sr.IdleQubits())
+	routeProv := threshold.Input{Circuit: rc, IdleQubits: sr.IdleQubits()}
 	tc := cfg.thresholdConfig()
 	for _, p := range cfg.Ps {
 		sp, err := threshold.EstimatePointContext(cfg.ctx(), surfProv, p, tc)
@@ -451,11 +451,11 @@ func Figure11b(cfg Config, gateError float64, idles []float64) ([]Figure11bResul
 	if err != nil {
 		return nil, err
 	}
-	refProv, err := memoryProvider(refined)
+	refProv, err := memoryInput(refined)
 	if err != nil {
 		return nil, err
 	}
-	twoProv, err := memoryProvider(twoStage)
+	twoProv, err := memoryInput(twoStage)
 	if err != nil {
 		return nil, err
 	}

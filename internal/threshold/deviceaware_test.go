@@ -124,11 +124,11 @@ func TestDeviceAwareDecoderBeatsUniformOnAsymmetricChip(t *testing.T) {
 		t.Fatal(err)
 	}
 	batch := sampler.Sample(shots)
-	statsDA, err := decDA.DecodeRange(batch, 0, shots)
+	statsDA, err := decDA.DecodeBatch(batch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	statsU, err := decU.DecodeRange(batch, 0, shots)
+	statsU, err := decU.DecodeBatch(batch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestDeviceAwareDecoderBeatsUniformOnAsymmetricChip(t *testing.T) {
 // to a builder that returns the identical uniform Model must produce
 // bit-identical points.
 func TestNoiseHookNilIsBitIdenticalToUniformBuilder(t *testing.T) {
-	prov, _ := memoryProvider(t, device.Square(6, 6), 3, synth.ModeFour, 2)
+	prov, _ := memoryInput(t, device.Square(6, 6), 3, synth.ModeFour, 2)
 	cfg := Config{Shots: 512, Seed: 99, Workers: 2}
 	base, err := EstimatePoint(prov, 0.004, cfg)
 	if err != nil {

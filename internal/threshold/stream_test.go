@@ -11,12 +11,13 @@ import (
 	"surfstitch/internal/synth"
 )
 
-// streamProvider builds the memory provider in the round-aware form the
+// streamInput builds the memory input with the detector round map the
 // streaming ablation needs.
-func streamProvider(t *testing.T, rounds int) CircuitProvider {
+func streamInput(t *testing.T, rounds int) Input {
 	t.Helper()
-	prov, mem := memoryProvider(t, device.Square(6, 6), 3, synth.ModeFour, rounds)
-	return ProviderWithRounds(mem.Circuit, prov.IdleQubits(), mem.DetectorRound)
+	in, mem := memoryInput(t, device.Square(6, 6), 3, synth.ModeFour, rounds)
+	in.DetectorRounds = mem.DetectorRound
+	return in
 }
 
 func TestStreamingPointMatchesWholeShotWithinWilson(t *testing.T) {
@@ -25,7 +26,7 @@ func TestStreamingPointMatchesWholeShotWithinWilson(t *testing.T) {
 	// threshold API (whole-shot mode uses the k<=2 closed forms); what is
 	// guaranteed — and asserted — is statistical agreement within Wilson
 	// intervals at matched seeds, plus deterministic streaming counters.
-	prov := streamProvider(t, 3)
+	prov := streamInput(t, 3)
 	base := Config{Shots: 2560, Seed: 7, ChunkShots: 256, NoIdle: true}
 
 	whole, err := EstimatePoint(prov, 0.02, base)
@@ -55,7 +56,7 @@ func TestStreamingPointMatchesWholeShotWithinWilson(t *testing.T) {
 }
 
 func TestStreamingDeterministicAcrossWorkers(t *testing.T) {
-	prov := streamProvider(t, 3)
+	prov := streamInput(t, 3)
 	var want Point
 	for i, workers := range []int{1, 4} {
 		cfg := Config{
@@ -77,20 +78,20 @@ func TestStreamingDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-func TestStreamingRequiresRoundProvider(t *testing.T) {
-	prov, _ := memoryProvider(t, device.Square(6, 6), 3, synth.ModeFour, 2)
+func TestStreamingRequiresDetectorRounds(t *testing.T) {
+	in, _ := memoryInput(t, device.Square(6, 6), 3, synth.ModeFour, 2)
 	cfg := Config{
 		Shots: 256, NoIdle: true,
 		Stream: &decoder.StreamConfig{Window: 2, Commit: 1},
 	}
-	if _, err := EstimatePoint(prov, 0.01, cfg); err == nil || !strings.Contains(err.Error(), "ProviderWithRounds") {
-		t.Fatalf("plain provider accepted for streaming decode (err=%v)", err)
+	if _, err := EstimatePoint(in, 0.01, cfg); err == nil || !strings.Contains(err.Error(), "DetectorRounds") {
+		t.Fatalf("input without detector rounds accepted for streaming decode (err=%v)", err)
 	}
 }
 
 func TestUFAndStreamCountersReachRegistry(t *testing.T) {
 	reg := obs.NewRegistry()
-	prov := streamProvider(t, 3)
+	prov := streamInput(t, 3)
 	cfg := Config{
 		Shots: 1280, Seed: 3, ChunkShots: 256, NoIdle: true, Registry: reg,
 		Decoder: decoder.Options{UnionFind: true, CacheSize: -1},

@@ -91,8 +91,8 @@ type Config struct {
 	// Stream, when non-nil, replaces whole-shot decoding with sliding-
 	// window streaming decode (the real-time ablation mode): each shot's
 	// syndrome is fed round by round through a decoder.Stream with this
-	// window geometry. Requires a provider built with ProviderWithRounds
-	// (the stream needs the detector→round map).
+	// window geometry. Requires Input.DetectorRounds (the stream needs the
+	// detector→round map).
 	Stream *decoder.StreamConfig
 }
 
@@ -114,52 +114,22 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// CircuitProvider yields the noise-free experiment circuit to sweep; the
-// threshold package applies the error model itself so that each sweep point
-// rebuilds the detector error model at the right probability.
-type CircuitProvider interface {
-	ExperimentCircuit() *circuit.Circuit
-	IdleQubits() []int
-}
-
-// memoryAdapter adapts a pre-built circuit and its idle set.
-type memoryAdapter struct {
-	c    *circuit.Circuit
-	idle []int
-}
-
-func (m memoryAdapter) ExperimentCircuit() *circuit.Circuit { return m.c }
-func (m memoryAdapter) IdleQubits() []int                   { return m.idle }
-
-// Provider wraps a circuit and the qubit set receiving idle noise.
-func Provider(c *circuit.Circuit, idleQubits []int) CircuitProvider {
-	return memoryAdapter{c: c, idle: idleQubits}
-}
-
-// RoundProvider is the optional provider extension streaming decode needs:
-// the detector→round map of the experiment (experiment.Memory records it
-// as DetectorRound).
-type RoundProvider interface {
-	DetectorRounds() []int
-}
-
-// roundAdapter is memoryAdapter plus the detector round map.
-type roundAdapter struct {
-	memoryAdapter
-	rounds []int
-}
-
-func (r roundAdapter) DetectorRounds() []int { return r.rounds }
-
-// ProviderWithRounds wraps a circuit, its idle set and its detector→round
-// map — the provider form Config.Stream requires.
-func ProviderWithRounds(c *circuit.Circuit, idleQubits []int, detRound []int) CircuitProvider {
-	return roundAdapter{memoryAdapter: memoryAdapter{c: c, idle: idleQubits}, rounds: detRound}
+// Input is the noise-free experiment to sweep; the threshold package applies
+// the error model itself so that each sweep point rebuilds the detector
+// error model at the right probability.
+type Input struct {
+	// Circuit is the noise-free experiment circuit.
+	Circuit *circuit.Circuit
+	// IdleQubits is the qubit set receiving idle noise.
+	IdleQubits []int
+	// DetectorRounds maps each detector to its round (experiment.Memory
+	// records it as DetectorRound). Only Config.Stream needs it.
+	DetectorRounds []int
 }
 
 // EstimatePoint measures the logical error rate at one physical error rate.
-func EstimatePoint(prov CircuitProvider, p float64, cfg Config) (Point, error) {
-	return EstimatePointContext(context.Background(), prov, p, cfg)
+func EstimatePoint(in Input, p float64, cfg Config) (Point, error) {
+	return EstimatePointContext(context.Background(), in, p, cfg)
 }
 
 // EstimatePointContext is EstimatePoint with cancellation. The detector
@@ -167,20 +137,20 @@ func EstimatePoint(prov CircuitProvider, p float64, cfg Config) (Point, error) {
 // point's workers; sampling and decoding run sharded on the Monte-Carlo
 // engine, each chunk with its own frame sampler pass and splitmix64-derived
 // RNG stream.
-func EstimatePointContext(ctx context.Context, prov CircuitProvider, p float64, cfg Config) (Point, error) {
+func EstimatePointContext(ctx context.Context, in Input, p float64, cfg Config) (Point, error) {
 	cfg = cfg.withDefaults()
 	ctx, span := obs.StartSpan(ctx, "threshold.point")
 	span.SetAttr("p", p)
 	defer span.End()
-	var applier noise.Applier = noise.Model{GateError: p, IdleError: cfg.IdleError, IdleOnly: prov.IdleQubits()}
+	var applier noise.Applier = noise.Model{GateError: p, IdleError: cfg.IdleError, IdleOnly: in.IdleQubits}
 	if cfg.Noise != nil {
 		var err error
-		applier, err = cfg.Noise(p, cfg.IdleError, prov.IdleQubits())
+		applier, err = cfg.Noise(p, cfg.IdleError, in.IdleQubits)
 		if err != nil {
 			return Point{}, fmt.Errorf("threshold: %w", err)
 		}
 	}
-	noisy, err := applier.Apply(prov.ExperimentCircuit())
+	noisy, err := applier.Apply(in.Circuit)
 	if err != nil {
 		return Point{}, fmt.Errorf("threshold: %w", err)
 	}
@@ -257,7 +227,7 @@ func EstimatePointContext(ctx context.Context, prov CircuitProvider, p float64, 
 	if cfg.Stream != nil {
 		span.SetAttr("stream_window", cfg.Stream.Window)
 		span.SetAttr("stream_commit", cfg.Stream.Commit)
-		res, err = runStreaming(ctx, prov, dec, sampler, mcCfg, *cfg.Stream, promote)
+		res, err = runStreaming(ctx, in.DetectorRounds, dec, sampler, mcCfg, *cfg.Stream, promote)
 	} else {
 		// Scratch arenas are pooled across chunks so each worker goroutine
 		// reuses its decode buffers (defect lists, matching edges, blossom
@@ -297,12 +267,10 @@ type streamWorker struct {
 // loop: each shot of a sampled chunk is replayed round by round through a
 // pooled decoder.Stream, and the stream's committed prediction is compared
 // against the shot's actual observable flips.
-func runStreaming(ctx context.Context, prov CircuitProvider, dec *decoder.Decoder, sampler *frame.ChunkedSampler, mcCfg mc.Config, scfg decoder.StreamConfig, promote func(decoder.Stats) mc.Tally) (mc.Result, error) {
-	rp, ok := prov.(RoundProvider)
-	if !ok {
-		return mc.Result{}, fmt.Errorf("streaming decode needs the detector round map; build the provider with ProviderWithRounds")
+func runStreaming(ctx context.Context, detRound []int, dec *decoder.Decoder, sampler *frame.ChunkedSampler, mcCfg mc.Config, scfg decoder.StreamConfig, promote func(decoder.Stats) mc.Tally) (mc.Result, error) {
+	if len(detRound) == 0 {
+		return mc.Result{}, fmt.Errorf("streaming decode needs the detector round map; set Input.DetectorRounds")
 	}
-	detRound := rp.DetectorRounds()
 	// Validate the geometry once up front so pool misuse below is the only
 	// way New can fail there.
 	if _, err := dec.NewStream(detRound, scfg); err != nil {
@@ -357,8 +325,8 @@ func runStreaming(ctx context.Context, prov CircuitProvider, dec *decoder.Decode
 }
 
 // EstimateCurve sweeps the physical error rates and returns the curve.
-func EstimateCurve(label string, distance int, prov CircuitProvider, ps []float64, cfg Config) (Curve, error) {
-	return EstimateCurveContext(context.Background(), label, distance, prov, ps, cfg)
+func EstimateCurve(label string, distance int, in Input, ps []float64, cfg Config) (Curve, error) {
+	return EstimateCurveContext(context.Background(), label, distance, in, ps, cfg)
 }
 
 // EstimateCurveContext sweeps the physical error rates with cancellation.
@@ -366,7 +334,7 @@ func EstimateCurve(label string, distance int, prov CircuitProvider, ps []float6
 // its own detector error model and decoder, with the worker budget split
 // across in-flight points so total parallelism stays near cfg.Workers.
 // Results are deterministic for a fixed seed regardless of the split.
-func EstimateCurveContext(ctx context.Context, label string, distance int, prov CircuitProvider, ps []float64, cfg Config) (Curve, error) {
+func EstimateCurveContext(ctx context.Context, label string, distance int, in Input, ps []float64, cfg Config) (Curve, error) {
 	curve := Curve{Label: label, Distance: distance}
 	if len(ps) == 0 {
 		return curve, nil
@@ -398,7 +366,7 @@ func EstimateCurveContext(ctx context.Context, label string, distance int, prov 
 			}
 			pc := cfg
 			pc.Workers = perPoint
-			pt, err := EstimatePointContext(cctx, prov, p, pc)
+			pt, err := EstimatePointContext(cctx, in, p, pc)
 			if err != nil {
 				errs[i] = err
 				cancel()
@@ -490,14 +458,14 @@ func PerRoundRate(pTotal float64, rounds int) float64 {
 // RoundScaling measures the per-round logical error rate at several round
 // counts; for a well-formed memory the per-round rates agree within noise,
 // which validates that detectors tile correctly in time.
-func RoundScaling(build func(rounds int) (CircuitProvider, error), roundCounts []int, p float64, cfg Config) ([]Point, error) {
+func RoundScaling(build func(rounds int) (Input, error), roundCounts []int, p float64, cfg Config) ([]Point, error) {
 	var out []Point
 	for _, r := range roundCounts {
-		prov, err := build(r)
+		in, err := build(r)
 		if err != nil {
 			return nil, err
 		}
-		pt, err := EstimatePoint(prov, p, cfg)
+		pt, err := EstimatePoint(in, p, cfg)
 		if err != nil {
 			return nil, err
 		}

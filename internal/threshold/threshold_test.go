@@ -13,7 +13,7 @@ import (
 	"surfstitch/internal/synth"
 )
 
-func memoryProvider(t *testing.T, dev *device.Device, d int, mode synth.Mode, rounds int) (CircuitProvider, *experiment.Memory) {
+func memoryInput(t *testing.T, dev *device.Device, d int, mode synth.Mode, rounds int) (Input, *experiment.Memory) {
 	t.Helper()
 	s, err := synth.Synthesize(context.Background(), dev, d, synth.Options{Mode: mode})
 	if err != nil {
@@ -23,7 +23,7 @@ func memoryProvider(t *testing.T, dev *device.Device, d int, mode synth.Mode, ro
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Provider(m.Circuit, s.AllQubits()), m
+	return Input{Circuit: m.Circuit, IdleQubits: s.AllQubits()}, m
 }
 
 func TestSweepLogSpaced(t *testing.T) {
@@ -66,7 +66,7 @@ func TestSweepRejectsBadRange(t *testing.T) {
 }
 
 func TestEstimatePointZeroNoise(t *testing.T) {
-	prov, _ := memoryProvider(t, device.Square(6, 6), 3, synth.ModeFour, 2)
+	prov, _ := memoryInput(t, device.Square(6, 6), 3, synth.ModeFour, 2)
 	// NoIdle expresses a truly idle-noise-free run; the zero IdleError value
 	// alone means "paper default" for back compatibility.
 	pt, err := EstimatePoint(prov, 0, Config{Shots: 500, NoIdle: true})
@@ -97,7 +97,7 @@ func TestIdleErrorZeroStillMeansDefault(t *testing.T) {
 }
 
 func TestLogicalRateIncreasesWithP(t *testing.T) {
-	prov, _ := memoryProvider(t, device.Square(6, 6), 3, synth.ModeFour, 3)
+	prov, _ := memoryInput(t, device.Square(6, 6), 3, synth.ModeFour, 3)
 	cfg := Config{Shots: 3000, Seed: 5}
 	low, err := EstimatePoint(prov, 0.001, cfg)
 	if err != nil {
@@ -113,7 +113,7 @@ func TestLogicalRateIncreasesWithP(t *testing.T) {
 }
 
 func TestEstimateCurveShape(t *testing.T) {
-	prov, _ := memoryProvider(t, device.Square(6, 6), 3, synth.ModeFour, 3)
+	prov, _ := memoryInput(t, device.Square(6, 6), 3, synth.ModeFour, 3)
 	ps := []float64{0.002, 0.008}
 	curve, err := EstimateCurve("test", 3, prov, ps, Config{Shots: 1500, Seed: 7})
 	if err != nil {
@@ -187,7 +187,7 @@ func TestCrossingAtExactPoint(t *testing.T) {
 }
 
 func TestReproducibleForFixedSeed(t *testing.T) {
-	prov, _ := memoryProvider(t, device.Square(6, 6), 3, synth.ModeFour, 2)
+	prov, _ := memoryInput(t, device.Square(6, 6), 3, synth.ModeFour, 2)
 	cfg := Config{Shots: 1000, Seed: 99}
 	a, err := EstimatePoint(prov, 0.01, cfg)
 	if err != nil {
@@ -203,7 +203,7 @@ func TestReproducibleForFixedSeed(t *testing.T) {
 }
 
 func TestCurveDeterministicAcrossWorkers(t *testing.T) {
-	prov, _ := memoryProvider(t, device.Square(6, 6), 3, synth.ModeFour, 2)
+	prov, _ := memoryInput(t, device.Square(6, 6), 3, synth.ModeFour, 2)
 	ps := []float64{0.002, 0.008}
 	var want Curve
 	for i, workers := range []int{1, 4, runtime.NumCPU()} {
@@ -226,7 +226,7 @@ func TestCurveDeterministicAcrossWorkers(t *testing.T) {
 }
 
 func TestAdaptiveStopHonorsWilsonTarget(t *testing.T) {
-	prov, _ := memoryProvider(t, device.Square(6, 6), 3, synth.ModeFour, 2)
+	prov, _ := memoryInput(t, device.Square(6, 6), 3, synth.ModeFour, 2)
 	const target = 0.25
 	cfg := Config{Shots: 200000, Seed: 9, ChunkShots: 256, TargetRSE: target}
 	pt, err := EstimatePoint(prov, 0.02, cfg)
@@ -245,7 +245,7 @@ func TestAdaptiveStopHonorsWilsonTarget(t *testing.T) {
 }
 
 func TestEstimatePointCancellation(t *testing.T) {
-	prov, _ := memoryProvider(t, device.Square(6, 6), 3, synth.ModeFour, 2)
+	prov, _ := memoryInput(t, device.Square(6, 6), 3, synth.ModeFour, 2)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := EstimatePointContext(ctx, prov, 0.002, Config{Shots: 1 << 22}); !errors.Is(err, context.Canceled) {
@@ -276,12 +276,12 @@ func TestRoundScalingConsistent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	build := func(rounds int) (CircuitProvider, error) {
+	build := func(rounds int) (Input, error) {
 		m, err := experiment.NewMemory(s, rounds, experiment.Options{})
 		if err != nil {
-			return nil, err
+			return Input{}, err
 		}
-		return Provider(m.Circuit, s.AllQubits()), nil
+		return Input{Circuit: m.Circuit, IdleQubits: s.AllQubits()}, nil
 	}
 	pts, err := RoundScaling(build, []int{3, 9}, 0.004, Config{Shots: 20000, Seed: 17})
 	if err != nil {

@@ -3,14 +3,8 @@ package verify
 import (
 	"fmt"
 
-	"surfstitch/internal/decoder"
-	"surfstitch/internal/dem"
-	"surfstitch/internal/distance"
-	"surfstitch/internal/lint/circ"
-	"surfstitch/internal/noise"
 	"surfstitch/internal/surgery"
 	"surfstitch/internal/synth"
-	"surfstitch/internal/tableau"
 )
 
 // PatchReport is the per-patch slice of a multi-patch verification: each
@@ -99,63 +93,11 @@ func Layout(p *surgery.Placement, opts Options) Report {
 		r.DeterminismError = err.Error()
 		return r
 	}
-	for _, f := range circ.Check(e.Circuit, p.Dev.Graph()) {
-		r.Static = append(r.Static, f.String())
-	}
-	if len(r.Static) > 0 {
-		return r
-	}
-	if _, _, err := tableau.Reference(e.Circuit, 3); err != nil {
-		r.DeterminismError = err.Error()
-		return r
-	}
-	r.Deterministic = true
-
-	noisy, err := e.Noisy(noise.Model{GateError: opts.GateError, IdleError: noise.DefaultIdleError})
-	if err != nil {
-		r.Structural = append(r.Structural, fmt.Sprintf("noise application failed: %v", err))
-		return r
-	}
-	model, err := dem.FromCircuit(noisy)
-	if err != nil {
-		r.Structural = append(r.Structural, fmt.Sprintf("detector error model failed: %v", err))
-		return r
-	}
-	dec, err := decoder.New(model)
-	if err != nil {
-		r.Structural = append(r.Structural, fmt.Sprintf("decoder build failed: %v", err))
-		return r
-	}
-	if dec.UndetectableObs != 0 {
-		r.UndetectableLogical = true
-	}
-
 	// The merged detector graph's certified distance must meet the common
 	// patch distance: the joint parity is protected space-like by the seam
 	// width and time-like by the merge-round count. (The hook/certificate
 	// cross-check is skipped: it models a single-observable memory.)
-	r.ClaimedDistance = minClaim(p)
-	cert, err := distance.Certify(model)
-	if err != nil {
-		r.Structural = append(r.Structural, fmt.Sprintf("distance certification failed: %v", err))
-		return r
-	}
-	r.CertifiedDistance = cert.Distance
-	r.DistanceWitness = cert.Witness
-	r.DistanceGraphlike = cert.Graphlike
-	r.DistanceUndecomposable = cert.Undecomposable
-
-	for _, mech := range model.Mechanisms {
-		if len(mech.Detectors) == 0 {
-			continue
-		}
-		r.SingleFaultTotal++
-		pred, err := dec.Decode(mech.Detectors)
-		if err != nil || pred != mech.Obs {
-			r.SingleFaultMisdecoded++
-			r.MisdecodedProb += mech.Prob
-		}
-	}
+	r.checkCircuit(e.Circuit, p.Dev.Graph(), p.AllQubits(), opts.GateError, minClaim(p))
 	return r
 }
 

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"strings"
 
+	"surfstitch/internal/circuit"
 	"surfstitch/internal/code"
 	"surfstitch/internal/decoder"
 	"surfstitch/internal/dem"
@@ -212,86 +213,97 @@ func Synthesis(s *synth.Synthesis, opts Options) Report {
 	r.VerticalXHooks = countVerticalXHooks(s)
 
 	// Assemble the memory circuit without the built-in determinism check:
-	// the static circuit-IR pass below gates the expensive simulation
-	// stages, so a malformed circuit is rejected in linear time with a
-	// moment-level finding instead of a stabilizer-sim failure.
+	// checkCircuit's static IR pass gates the expensive simulation stages.
 	mem, err := experiment.NewMemory(s, opts.Rounds, experiment.Options{SkipVerify: true})
 	if err != nil {
 		r.DeterminismError = err.Error()
 		return r
 	}
 
-	// Fast static pre-gate: O(instructions) data-flow checks against the
-	// device coupling graph. Any finding makes the later simulation
-	// results meaningless, so bail out before paying for them.
-	for _, f := range circ.Check(mem.Circuit, s.Layout.Dev.Graph()) {
-		r.Static = append(r.Static, f.String())
-	}
-	if len(r.Static) > 0 {
-		return r
-	}
-
-	// Expensive detector-determinism check under exact stabilizer
-	// simulation (previously run inside NewMemory).
-	if _, _, err := tableau.Reference(mem.Circuit, 3); err != nil {
-		r.DeterminismError = err.Error()
-		return r
-	}
-	r.Deterministic = true
-
-	noisy, err := mem.Noisy(noise.Model{GateError: opts.GateError, IdleError: noise.DefaultIdleError})
-	if err != nil {
-		r.Structural = append(r.Structural, fmt.Sprintf("noise application failed: %v", err))
-		return r
-	}
-	model, err := dem.FromCircuit(noisy)
-	if err != nil {
-		r.Structural = append(r.Structural, fmt.Sprintf("detector error model failed: %v", err))
-		return r
-	}
-	dec, err := decoder.New(model)
-	if err != nil {
-		r.Structural = append(r.Structural, fmt.Sprintf("decoder build failed: %v", err))
-		return r
-	}
-	if dec.UndetectableObs != 0 {
-		r.UndetectableLogical = true
-	}
-
-	// Static distance certification: prove the minimum-weight undetectable
-	// logical fault set of the very model the decoder consumes, and hold
-	// it against the synthesis' claim.
-	nominal := s.Layout.Code.Distance()
-	r.ClaimedDistance = nominal
+	claimed := s.Layout.Code.Distance()
 	if s.Degradation != nil {
-		r.ClaimedDistance = s.Degradation.EffectiveDistance
+		claimed = s.Degradation.EffectiveDistance
 	}
-	cert, err := distance.Certify(model)
-	if err != nil {
-		r.Structural = append(r.Structural, fmt.Sprintf("distance certification failed: %v", err))
+	if !r.checkCircuit(mem.Circuit, s.Layout.Dev.Graph(), s.AllQubits(), opts.GateError, claimed) {
 		return r
 	}
-	r.CertifiedDistance = cert.Distance
-	r.DistanceWitness = cert.Witness
-	r.DistanceGraphlike = cert.Graphlike
-	r.DistanceUndecomposable = cert.Undecomposable
 	if s.Degradation == nil {
 		// On a non-degraded synthesis the certificate and the vertical-hook
 		// heuristic must tell the same story: hooks halve the distance, so
 		// a hook finding without certified distance loss — or distance loss
 		// without a hook finding — means one of the two analyses is wrong.
-		lost := cert.Distance != 0 && cert.Distance < nominal
+		// Without degradation the claim is the nominal distance.
+		lost := r.CertifiedDistance != 0 && r.CertifiedDistance < claimed
 		switch {
 		case r.VerticalXHooks > 0 && !lost:
 			r.DistanceHookMismatch = fmt.Sprintf(
 				"heuristic flags %d vertical X hooks but certified distance %d shows no loss vs nominal %d",
-				r.VerticalXHooks, cert.Distance, nominal)
+				r.VerticalXHooks, r.CertifiedDistance, claimed)
 		case r.VerticalXHooks == 0 && lost:
 			r.DistanceHookMismatch = fmt.Sprintf(
 				"certified distance %d below nominal %d with no vertical-hook finding",
-				cert.Distance, nominal)
+				r.CertifiedDistance, claimed)
 		}
 	}
+	return r
+}
+
+// checkCircuit runs the simulation-backed chain Synthesis and Layout share
+// on an assembled noise-free circuit, recording every finding in r:
+//
+//  1. the static circuit-IR check against the device couplings, which gates
+//     the expensive stages (a malformed circuit is rejected in linear time
+//     with a moment-level finding instead of a stabilizer-sim failure);
+//  2. detector determinism under exact stabilizer simulation;
+//  3. the circuit-level error model at gateError and its decoder;
+//  4. static distance certification of the very model the decoder
+//     consumes, held against the claimed distance;
+//  5. the single-fault sweep.
+//
+// It reports whether the whole chain ran; on false a stage failed and the
+// later ones were skipped.
+func (r *Report) checkCircuit(c *circuit.Circuit, g circ.Coupler, idle []int, gateError float64, claimed int) bool {
+	for _, f := range circ.Check(c, g) {
+		r.Static = append(r.Static, f.String())
+	}
+	if len(r.Static) > 0 {
+		return false
+	}
+	if _, _, err := tableau.Reference(c, 3); err != nil {
+		r.DeterminismError = err.Error()
+		return false
+	}
+	r.Deterministic = true
+
+	noisy, err := noise.Model{GateError: gateError, IdleError: noise.DefaultIdleError, IdleOnly: idle}.Apply(c)
+	if err != nil {
+		r.Structural = append(r.Structural, fmt.Sprintf("noise application failed: %v", err))
+		return false
+	}
+	model, err := dem.FromCircuit(noisy)
+	if err != nil {
+		r.Structural = append(r.Structural, fmt.Sprintf("detector error model failed: %v", err))
+		return false
+	}
+	dec, err := decoder.New(model)
+	if err != nil {
+		r.Structural = append(r.Structural, fmt.Sprintf("decoder build failed: %v", err))
+		return false
+	}
+	if dec.UndetectableObs != 0 {
+		r.UndetectableLogical = true
+	}
+
+	r.ClaimedDistance = claimed
+	cert, err := distance.Certify(model)
+	if err != nil {
+		r.Structural = append(r.Structural, fmt.Sprintf("distance certification failed: %v", err))
+		return false
+	}
+	r.CertifiedDistance = cert.Distance
+	r.DistanceWitness = cert.Witness
+	r.DistanceGraphlike = cert.Graphlike
+	r.DistanceUndecomposable = cert.Undecomposable
 
 	for _, mech := range model.Mechanisms {
 		if len(mech.Detectors) == 0 {
@@ -304,7 +316,7 @@ func Synthesis(s *synth.Synthesis, opts Options) Report {
 			r.MisdecodedProb += mech.Prob
 		}
 	}
-	return r
+	return true
 }
 
 // CertifiedDistance statically certifies the fault distance of the

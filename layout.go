@@ -138,12 +138,12 @@ func EstimateLayoutErrorRate(ctx context.Context, ls *LayoutSynthesis, p float64
 	}
 	tc := cfg.thresholdConfig()
 	tc.Noise = noise.BuilderFor(ls.Placement.Dev)
-	pt, err := threshold.EstimatePointContext(
-		ctx,
-		threshold.ProviderWithRounds(ls.Experiment.Circuit, ls.Placement.AllQubits(), ls.Experiment.DetectorRound),
-		p,
-		tc,
-	)
+	in := threshold.Input{
+		Circuit:        ls.Experiment.Circuit,
+		IdleQubits:     ls.Placement.AllQubits(),
+		DetectorRounds: ls.Experiment.DetectorRound,
+	}
+	pt, err := threshold.EstimatePointContext(ctx, in, p, tc)
 	if err != nil {
 		return Result{}, err
 	}

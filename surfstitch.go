@@ -374,6 +374,27 @@ func (cfg RunConfig) checkEstimateArgs(ctx context.Context, ps []float64) (conte
 	return obs.ContextWithRegistry(ctx, cfg.Registry), nil
 }
 
+// memoryRun assembles the memory experiment the Estimate* family samples
+// and the threshold configuration it runs under. A calibrated device swaps
+// the uniform model for per-location channels; BuilderFor returns nil on
+// uncalibrated devices, keeping their results bit-identical.
+func (cfg RunConfig) memoryRun(s *Synthesis) (threshold.Input, threshold.Config, error) {
+	if s == nil {
+		return threshold.Input{}, threshold.Config{}, fmt.Errorf("%w: nil synthesis", ErrInvalidConfig)
+	}
+	rounds := cfg.Rounds
+	if rounds == 0 {
+		rounds = 3 * s.Layout.Code.Distance()
+	}
+	m, err := experiment.NewMemory(s, rounds, experiment.Options{Basis: cfg.Basis})
+	if err != nil {
+		return threshold.Input{}, threshold.Config{}, err
+	}
+	tc := cfg.thresholdConfig()
+	tc.Noise = noise.BuilderFor(s.Layout.Dev)
+	return threshold.Input{Circuit: m.Circuit, IdleQubits: s.AllQubits()}, tc, nil
+}
+
 // Result is a measured logical error rate.
 type Result struct {
 	PhysicalErrorRate float64
@@ -392,28 +413,11 @@ func EstimateLogicalErrorRate(ctx context.Context, s *Synthesis, p float64, cfg 
 	if err != nil {
 		return Result{}, err
 	}
-	if s == nil {
-		return Result{}, fmt.Errorf("%w: nil synthesis", ErrInvalidConfig)
-	}
-	rounds := cfg.Rounds
-	if rounds == 0 {
-		rounds = 3 * s.Layout.Code.Distance()
-	}
-	m, err := experiment.NewMemory(s, rounds, experiment.Options{Basis: cfg.Basis})
+	in, tc, err := cfg.memoryRun(s)
 	if err != nil {
 		return Result{}, err
 	}
-	tc := cfg.thresholdConfig()
-	// A calibrated device swaps the uniform model for per-location channels;
-	// BuilderFor returns nil on uncalibrated devices, keeping their results
-	// bit-identical.
-	tc.Noise = noise.BuilderFor(s.Layout.Dev)
-	pt, err := threshold.EstimatePointContext(
-		ctx,
-		threshold.Provider(m.Circuit, s.AllQubits()),
-		p,
-		tc,
-	)
+	pt, err := threshold.EstimatePointContext(ctx, in, p, tc)
 	if err != nil {
 		return Result{}, err
 	}
@@ -431,24 +435,15 @@ func EstimateCurve(ctx context.Context, s *Synthesis, ps []float64, cfg RunConfi
 	if err != nil {
 		return Curve{}, err
 	}
-	if s == nil {
-		return Curve{}, fmt.Errorf("%w: nil synthesis", ErrInvalidConfig)
-	}
-	rounds := cfg.Rounds
-	if rounds == 0 {
-		rounds = 3 * s.Layout.Code.Distance()
-	}
-	m, err := experiment.NewMemory(s, rounds, experiment.Options{Basis: cfg.Basis})
+	in, tc, err := cfg.memoryRun(s)
 	if err != nil {
 		return Curve{}, err
 	}
-	tc := cfg.thresholdConfig()
-	tc.Noise = noise.BuilderFor(s.Layout.Dev)
 	return threshold.EstimateCurveContext(
 		ctx,
 		fmt.Sprintf("%s-d%d", s.Layout.Dev.Name(), s.Layout.Code.Distance()),
 		s.Layout.Code.Distance(),
-		threshold.Provider(m.Circuit, s.AllQubits()),
+		in,
 		ps,
 		tc,
 	)
