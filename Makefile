@@ -74,9 +74,10 @@ obs-smoke:
 	$(GO) run ./cmd/obssmoke -bin bin/threshold
 
 # Serving smoke: boot a real surfstitchd, drive the /v1 job API end to end,
-# and assert the live-daemon contracts — an identical resubmission is served
-# from the content-addressed cache without a new synthesis span, and a curve
-# job killed mid-sweep (SIGTERM) resumes from its checkpoint after restart.
+# and assert the live-daemon contracts — an identical resubmission is answered
+# by the done job without a new synthesis span, a curve job killed mid-sweep
+# (SIGTERM) resumes from its checkpoint after restart, and the restarted
+# daemon answers the first estimate from its job store, byte-identical.
 server-smoke:
 	$(GO) build -o bin/surfstitchd ./cmd/surfstitchd
 	$(GO) run ./cmd/serversmoke -bin bin/surfstitchd

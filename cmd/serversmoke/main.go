@@ -1,11 +1,11 @@
 // Command serversmoke is the serving-layer smoke test behind
 // `make server-smoke`: it boots a real surfstitchd process, drives the /v1
-// job API end to end, and asserts the two contracts that only a live daemon
-// can prove:
+// job API end to end over plain net/http, and asserts the contracts that
+// only a live daemon can prove:
 //
-//  1. Content-addressed caching: an identical resubmission completes
-//     immediately from the cache — the cache-hit counter moves and no new
-//     synthesis span is recorded.
+//  1. Content addressing: an identical resubmission is answered at once by
+//     the done job — the cache-hit counter moves and no new synthesis span
+//     is recorded.
 //  2. Calibration round trip: calibrated submissions run to completion and
 //     different snapshots get different content addresses, while an
 //     identical submission still in flight coalesces onto the running job
@@ -13,9 +13,9 @@
 //  3. Checkpointed resume: a curve job killed mid-sweep (SIGTERM, real
 //     process death) is resumed by a fresh daemon on the same store
 //     directory and finishes with the checkpointed points intact.
-//
-// All traffic goes through the retrying API client (internal/server.Client),
-// so transient backpressure never fails the smoke test.
+//  4. Persisted answers: on that fresh daemon, part 1's estimate is a cache
+//     hit served from the job store — byte-identical, with no synthesis
+//     span — and every persisted record passed its integrity check.
 //
 // Usage:
 //
@@ -25,7 +25,6 @@ package main
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -39,8 +38,6 @@ import (
 	"strings"
 	"syscall"
 	"time"
-
-	"surfstitch/internal/server"
 )
 
 var addrRe = regexp.MustCompile(`surfstitchd: listening on http://(\S+)`)
@@ -80,7 +77,6 @@ type curveResult struct {
 type daemon struct {
 	cmd    *exec.Cmd
 	addr   string
-	client *server.Client
 	exited chan error
 	reaped bool // the single exit notification has been consumed
 }
@@ -118,9 +114,8 @@ func main() {
 	}
 	defer os.RemoveAll(work)
 	storeDir := filepath.Join(work, "store")
-	cacheDir := filepath.Join(work, "cache")
 
-	d := boot(*bin, storeDir, cacheDir, deadline)
+	d := boot(*bin, storeDir, deadline)
 	defer d.kill()
 
 	// ---- Part 1: estimate round trip + content-addressed cache hit.
@@ -245,7 +240,7 @@ func main() {
 	fmt.Printf("serversmoke: SIGTERM with %d/6 points checkpointed\n", len(preKill.Checkpoint))
 	d.terminate(deadline)
 
-	d2 := boot(*bin, storeDir, cacheDir, deadline)
+	d2 := boot(*bin, storeDir, deadline)
 	defer d2.kill()
 	rec2 := d2.waitJob(csub.JobID, deadline, func(r jobRecord) bool { return terminal(r.State) })
 	if rec2.State != "done" {
@@ -270,17 +265,38 @@ func main() {
 		fail("server_jobs_resumed_total = %g, want >= 1", jobs)
 	}
 	fmt.Printf("serversmoke: restart resumed the sweep, %d checkpointed points intact\n", len(preKill.Checkpoint))
+
+	// ---- Part 4: the restarted daemon answers part 1's estimate from the
+	// job record the first daemon persisted.
+	if corrupt := d2.metric("server_store_corrupt_total"); corrupt != 0 {
+		fail("server_store_corrupt_total = %g after restart, want 0", corrupt)
+	}
+	hitsBefore = d2.metric("server_cache_hits_total")
+	synthBefore = d2.metric(`span_count_total{span="synth.synthesize"}`)
+	persisted := d2.submit("/v1/estimate", estimate)
+	if !persisted.CacheHit || persisted.State != "done" {
+		fail("estimate after restart not served from the store: hit=%v state=%s", persisted.CacheHit, persisted.State)
+	}
+	if !bytes.Equal(persisted.Result, rec.Result) {
+		fail("persisted result differs:\n%s\n%s", persisted.Result, rec.Result)
+	}
+	if hits := d2.metric("server_cache_hits_total"); hits != hitsBefore+1 {
+		fail("cache hits after restart went %g -> %g, want +1", hitsBefore, hits)
+	}
+	if synth := d2.metric(`span_count_total{span="synth.synthesize"}`); synth != synthBefore {
+		fail("persisted hit ran synthesis: span count %g -> %g", synthBefore, synth)
+	}
+	fmt.Println("serversmoke: restarted daemon served the estimate from the store, byte-identical, no synthesis span")
 	d2.terminate(deadline)
 	fmt.Println("serversmoke: PASS")
 }
 
-// boot launches one daemon on a fresh port over the shared store/cache dirs
+// boot launches one daemon on a fresh port over the shared store directory
 // and waits for its banner.
-func boot(bin, storeDir, cacheDir string, deadline time.Time) *daemon {
+func boot(bin, storeDir string, deadline time.Time) *daemon {
 	cmd := exec.Command(bin,
 		"-addr", "127.0.0.1:0",
 		"-store-dir", storeDir,
-		"-cache-dir", cacheDir,
 		"-workers", "1",
 		"-mc-workers", "1",
 		"-drain-timeout", "500ms",
@@ -315,7 +331,6 @@ func boot(bin, storeDir, cacheDir string, deadline time.Time) *daemon {
 		d.kill()
 		fail("timed out waiting for the surfstitchd banner")
 	}
-	d.client = &server.Client{BaseURL: "http://" + d.addr}
 	fmt.Printf("serversmoke: daemon up at http://%s\n", d.addr)
 	return d
 }
@@ -325,10 +340,7 @@ func (d *daemon) submit(path string, body any) submitResponse {
 	if err != nil {
 		fail("marshal: %v", err)
 	}
-	status, out, err := d.client.Post(context.Background(), path, blob)
-	if err != nil {
-		fail("POST %s: %v", path, err)
-	}
+	status, out := d.call(http.MethodPost, path, blob)
 	if status != http.StatusAccepted && status != http.StatusOK {
 		fail("POST %s: status %d, body %s", path, status, out)
 	}
@@ -340,22 +352,41 @@ func (d *daemon) submit(path string, body any) submitResponse {
 }
 
 func (d *daemon) cancel(id string) {
-	status, out, err := d.client.Delete(context.Background(), "/v1/jobs/"+id)
-	if err != nil || status != http.StatusAccepted {
-		fail("DELETE job %s: status %d, body %s (err %v)", id, status, out, err)
+	if status, out := d.call(http.MethodDelete, "/v1/jobs/"+id, nil); status != http.StatusAccepted {
+		fail("DELETE job %s: status %d, body %s", id, status, out)
 	}
 }
 
 func (d *daemon) getJob(id string) jobRecord {
-	status, blob, err := d.client.Get(context.Background(), "/v1/jobs/"+id)
-	if err != nil || status != http.StatusOK {
-		fail("GET job %s: status %d (err %v)", id, status, err)
+	status, blob := d.call(http.MethodGet, "/v1/jobs/"+id, nil)
+	if status != http.StatusOK {
+		fail("GET job %s: status %d, body %s", id, status, blob)
 	}
 	var rec jobRecord
 	if err := json.Unmarshal(blob, &rec); err != nil {
 		fail("parsing job record: %v", err)
 	}
 	return rec
+}
+
+// call makes one request to the daemon and returns the status and the
+// whole body; a transport error fails the smoke test.
+func (d *daemon) call(method, path string, body []byte) (int, []byte) {
+	req, err := http.NewRequest(method, "http://"+d.addr+path, bytes.NewReader(body))
+	if err != nil {
+		fail("%s %s: %v", method, path, err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		fail("%s %s: %v", method, path, err)
+	}
+	defer resp.Body.Close()
+	out, err := io.ReadAll(resp.Body)
+	if err != nil {
+		fail("%s %s: reading body: %v", method, path, err)
+	}
+	return resp.StatusCode, out
 }
 
 func (d *daemon) waitJob(id string, deadline time.Time, pred func(jobRecord) bool) jobRecord {
@@ -373,9 +404,9 @@ func (d *daemon) waitJob(id string, deadline time.Time, pred func(jobRecord) boo
 // metric scrapes /metrics and returns the value of one exact series name
 // (0 when absent).
 func (d *daemon) metric(series string) float64 {
-	status, blob, err := d.client.Get(context.Background(), "/metrics")
-	if err != nil || status != http.StatusOK {
-		fail("GET /metrics: status %d (err %v)", status, err)
+	status, blob := d.call(http.MethodGet, "/metrics", nil)
+	if status != http.StatusOK {
+		fail("GET /metrics: status %d", status)
 	}
 	sc := bufio.NewScanner(bytes.NewReader(blob))
 	for sc.Scan() {

@@ -130,7 +130,7 @@ func main() {
 		}
 		dev = p
 	} else if *fit {
-		kind, err := parseArch(*arch)
+		kind, err := device.ParseKind(*arch)
 		if err != nil {
 			fatal(err)
 		}
@@ -141,7 +141,7 @@ func main() {
 		dev = fd
 		fmt.Fprintf(info, "smallest supporting device: %v\n", dev)
 	} else {
-		kind, err := parseArch(*arch)
+		kind, err := device.ParseKind(*arch)
 		if err != nil {
 			fatal(err)
 		}
@@ -165,7 +165,7 @@ func main() {
 		degraded = true
 	}
 	if *calArg != "" {
-		cal, err := loadCalibration(dev, *calArg)
+		cal, err := device.LoadCalibration(dev, *calArg)
 		if err != nil {
 			fatal(err)
 		}
@@ -456,37 +456,6 @@ func loadDefects(dev *device.Device, arg string) (device.DefectSet, error) {
 	return ds, nil
 }
 
-// loadCalibration parses the -calibration argument: either a snapshot spec
-// "<snapshot>[:<seed>]" (good, median, bad) drawn reproducibly for this
-// device, or a path to a Calibration JSON file.
-func loadCalibration(dev *device.Device, arg string) (*device.Calibration, error) {
-	if name, seedStr, hasSeed := strings.Cut(arg, ":"); isSnapshot(name) {
-		seed := int64(1)
-		if hasSeed {
-			var err error
-			seed, err = strconv.ParseInt(seedStr, 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("bad calibration seed %q: %v", seedStr, err)
-			}
-		}
-		return device.GenerateCalibration(dev, name, seed)
-	}
-	blob, err := os.ReadFile(arg)
-	if err != nil {
-		return nil, err
-	}
-	return device.ParseCalibration(blob)
-}
-
-func isSnapshot(name string) bool {
-	for _, s := range device.CalibrationSnapshots() {
-		if s == name {
-			return true
-		}
-	}
-	return false
-}
-
 func isGenerator(name string) bool {
 	for _, g := range device.GeneratorNames() {
 		if g == name {
@@ -494,23 +463,6 @@ func isGenerator(name string) bool {
 		}
 	}
 	return false
-}
-
-func parseArch(s string) (device.Kind, error) {
-	switch s {
-	case "square":
-		return device.KindSquare, nil
-	case "hexagon":
-		return device.KindHexagon, nil
-	case "octagon":
-		return device.KindOctagon, nil
-	case "heavy-square":
-		return device.KindHeavySquare, nil
-	case "heavy-hexagon":
-		return device.KindHeavyHexagon, nil
-	default:
-		return 0, fmt.Errorf("unknown architecture %q", s)
-	}
 }
 
 func fatal(err error) {

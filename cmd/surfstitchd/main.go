@@ -1,10 +1,10 @@
 // Command surfstitchd serves synthesis and logical-error-rate estimation as
-// an HTTP daemon: asynchronous jobs over a bounded worker pool, a
-// content-addressed result cache, and a persistent job store that resumes
-// interrupted curve sweeps after a restart.
+// an HTTP daemon: asynchronous jobs over a bounded worker pool and a
+// content-addressed job store. A done job answers identical submissions,
+// and with -store-dir the store persists, so interrupted curve sweeps resume
+// and done results keep answering after a restart.
 //
-//	surfstitchd -addr 127.0.0.1:8080 -store-dir /var/lib/surfstitchd \
-//	    -cache-dir /var/cache/surfstitchd
+//	surfstitchd -addr 127.0.0.1:8080 -store-dir /var/lib/surfstitchd
 //
 // The API lives under /v1 (see DESIGN.md, "Serving"); /metrics,
 // /debug/pprof and /healthz / /readyz ride on the same listener.
@@ -31,9 +31,7 @@ func main() {
 	queueSize := flag.Int("queue", 64, "job queue capacity; a full queue answers 429")
 	workers := flag.Int("workers", 2, "concurrently running jobs")
 	mcWorkers := flag.Int("mc-workers", 0, "Monte-Carlo workers per job (0 = all cores)")
-	cacheEntries := flag.Int("cache-entries", 1024, "in-memory result cache capacity")
-	cacheDir := flag.String("cache-dir", "", "optional disk tier for the result cache")
-	storeDir := flag.String("store-dir", "", "optional job store directory; enables resume after restart")
+	storeDir := flag.String("store-dir", "", "optional job store directory; enables resume and cached results after restart")
 	jobTimeout := flag.Duration("job-timeout", 0, "default per-job deadline (0 = none)")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "how long shutdown waits for running jobs before checkpointing them")
 	manifestOut := flag.String("manifest-out", "", "write a daemon run manifest (JSON) on exit")
@@ -41,8 +39,7 @@ func main() {
 
 	if err := run(daemonConfig{
 		addr: *addr, queueSize: *queueSize, workers: *workers,
-		mcWorkers: *mcWorkers, cacheEntries: *cacheEntries,
-		cacheDir: *cacheDir, storeDir: *storeDir,
+		mcWorkers: *mcWorkers, storeDir: *storeDir,
 		jobTimeout: *jobTimeout, drainTimeout: *drainTimeout,
 		manifestOut: *manifestOut,
 	}); err != nil {
@@ -56,8 +53,6 @@ type daemonConfig struct {
 	queueSize    int
 	workers      int
 	mcWorkers    int
-	cacheEntries int
-	cacheDir     string
 	storeDir     string
 	jobTimeout   time.Duration
 	drainTimeout time.Duration
@@ -68,14 +63,12 @@ func run(dc daemonConfig) error {
 	reg := obs.NewRegistry()
 	manifest := obs.NewManifest("surfstitchd", 0, map[string]any{
 		"addr": dc.addr, "queue": dc.queueSize, "workers": dc.workers,
-		"mc_workers": dc.mcWorkers, "cache_entries": dc.cacheEntries,
-		"cache_dir": dc.cacheDir, "store_dir": dc.storeDir,
+		"mc_workers": dc.mcWorkers, "store_dir": dc.storeDir,
 		"job_timeout": dc.jobTimeout.String(), "drain_timeout": dc.drainTimeout.String(),
 	})
 
 	srv, err := server.New(server.Config{
 		QueueSize: dc.queueSize, Workers: dc.workers, MCWorkers: dc.mcWorkers,
-		CacheEntries: dc.cacheEntries, CacheDir: dc.cacheDir,
 		StoreDir: dc.storeDir, JobTimeout: dc.jobTimeout,
 		Registry: reg,
 	})

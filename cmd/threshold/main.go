@@ -161,7 +161,7 @@ func main() {
 		title = "Figure 9(b): heavy-square architecture"
 	case *arch != "":
 		var kind device.Kind
-		kind, err = parseArch(*arch)
+		kind, err = device.ParseKind(*arch)
 		if err != nil {
 			fatal(err)
 		}
@@ -279,7 +279,7 @@ func sweepArch(ctx context.Context, kind device.Kind, m synth.Mode, basis experi
 			// A calibrated sweep re-synthesizes on the calibrated device (so
 			// routing follows the snapshot) and samples its device-aware
 			// noise instead of the uniform channel.
-			cal, err := loadCalibration(fd, calArg)
+			cal, err := device.LoadCalibration(fd, calArg)
 			if err != nil {
 				return pair, err
 			}
@@ -404,54 +404,6 @@ func parsePs(s string) ([]float64, error) {
 		out = append(out, v)
 	}
 	return out, nil
-}
-
-// loadCalibration parses the -calibration argument: either a snapshot spec
-// "<snapshot>[:<seed>]" (good, median, bad) drawn reproducibly for this
-// device, or a path to a Calibration JSON file.
-func loadCalibration(dev *device.Device, arg string) (*device.Calibration, error) {
-	if name, seedStr, hasSeed := strings.Cut(arg, ":"); isSnapshot(name) {
-		seed := int64(1)
-		if hasSeed {
-			var err error
-			seed, err = strconv.ParseInt(seedStr, 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("bad calibration seed %q: %v", seedStr, err)
-			}
-		}
-		return device.GenerateCalibration(dev, name, seed)
-	}
-	blob, err := os.ReadFile(arg)
-	if err != nil {
-		return nil, err
-	}
-	return device.ParseCalibration(blob)
-}
-
-func isSnapshot(name string) bool {
-	for _, s := range device.CalibrationSnapshots() {
-		if s == name {
-			return true
-		}
-	}
-	return false
-}
-
-func parseArch(s string) (device.Kind, error) {
-	switch s {
-	case "square":
-		return device.KindSquare, nil
-	case "hexagon":
-		return device.KindHexagon, nil
-	case "octagon":
-		return device.KindOctagon, nil
-	case "heavy-square":
-		return device.KindHeavySquare, nil
-	case "heavy-hexagon":
-		return device.KindHeavyHexagon, nil
-	default:
-		return 0, fmt.Errorf("unknown architecture %q", s)
-	}
 }
 
 // validateFlags rejects flag combinations that would otherwise run with

@@ -14,7 +14,9 @@ const defaultCacheSize = 1 << 16
 // combinations repeat. The structure is read-mostly — gets take a read
 // lock; inserts stop once the bound is reached, pinning the earliest-seen
 // syndromes, which at low physical error rates are exactly the frequent
-// sparse ones.
+// sparse ones. Every decoder owns its cache privately and answers misses by
+// one decode route fixed at compile time, so the defect set alone is the
+// key.
 type synCache struct {
 	mu  sync.RWMutex
 	m   map[string]uint64
@@ -51,28 +53,6 @@ func (c *synCache) size() int {
 	defer c.mu.RUnlock()
 	return len(c.m)
 }
-
-// Cache is a syndrome cache that several decoders can share through
-// Options.SharedCache — the ablation harness compiles fast-, slow- and
-// union-find-path decoders in one process, and sharing amortizes the
-// sparse-syndrome working set. Entries are namespaced by each decoder's
-// decode-path identity, so decoders that would answer the same syndrome
-// differently never observe each other's masks.
-type Cache struct {
-	c *synCache
-}
-
-// NewCache builds a shareable syndrome cache bounded to max entries (zero
-// selects the default size).
-func NewCache(max int) *Cache {
-	if max <= 0 {
-		max = defaultCacheSize
-	}
-	return &Cache{c: newSynCache(max)}
-}
-
-// Len reports the number of cached syndromes across all decode paths.
-func (c *Cache) Len() int { return c.c.size() }
 
 // appendSyndromeKey encodes a sorted defect set as fixed-width 4-byte
 // little-endian words: fixed width means distinct sets can never collide,

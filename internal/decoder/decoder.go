@@ -57,10 +57,7 @@ type Decoder struct {
 	rows []atomic.Pointer[pathRow]
 
 	// cache memoizes syndrome→observable-mask results (nil when disabled).
-	// Keys carry pathID so decoders with different decode routes can share
-	// one cache without cross-contaminating each other's masks.
-	cache  *synCache
-	pathID byte
+	cache *synCache
 
 	// ufg is the lazily compiled union-find decoding graph: a pure function
 	// of the immutable adjacency, CAS-published exactly like rows, so every
@@ -111,12 +108,6 @@ type Options struct {
 	// boundaryless component) escalate back to blossom. Ignored under
 	// ForceSlowPath.
 	UnionFind bool
-
-	// SharedCache, when non-nil, replaces the decoder's private syndrome
-	// cache with the given shared one (overriding CacheSize, and enabling
-	// caching even under ForceSlowPath). Safe to share between decoders
-	// with different options: cache keys include the decode-path identity.
-	SharedCache *Cache
 }
 
 // New compiles the detector error model into a decoder.
@@ -259,17 +250,6 @@ func NewWithOptions(model *dem.Model, opts Options) (*Decoder, error) {
 		d.adj[k.v] = append(d.adj[k.v], halfEdge{to: k.u, weight: w, obs: masks[k]})
 	}
 	d.opts = opts
-	// pathID tags cache keys with the decode route this decoder takes on a
-	// miss, so that decoders sharing a cache (ablation runs in one process)
-	// can never serve each other masks computed by a different algorithm.
-	switch {
-	case opts.ForceSlowPath:
-		d.pathID = 's'
-	case opts.UnionFind:
-		d.pathID = 'u'
-	default:
-		d.pathID = 'f'
-	}
 	d.rows = make([]atomic.Pointer[pathRow], n)
 	if opts.ForceSlowPath {
 		// The slow path keeps the eager O(n²) all-pairs compile.
@@ -277,10 +257,7 @@ func NewWithOptions(model *dem.Model, opts Options) (*Decoder, error) {
 			d.row(src)
 		}
 	}
-	switch {
-	case opts.SharedCache != nil:
-		d.cache = opts.SharedCache.c
-	case !opts.ForceSlowPath && opts.CacheSize >= 0:
+	if !opts.ForceSlowPath && opts.CacheSize >= 0 {
 		size := opts.CacheSize
 		if size == 0 {
 			size = defaultCacheSize
@@ -452,16 +429,12 @@ func (d *Decoder) decode(defects []int, s *Scratch) (uint64, bool, decodePath, e
 	}
 	var key []byte
 	if d.cache != nil {
-		// The leading pathID byte namespaces the entry by decode route:
-		// decoders sharing one cache but disagreeing on k>=3 handling
-		// (fast/slow/union-find) must never read each other's masks.
 		if s != nil {
-			s.key = append(s.key[:0], d.pathID)
-			s.key = appendSyndromeKey(s.key, defects)
+			s.key = appendSyndromeKey(s.key[:0], defects)
 			key = s.key
 		} else {
 			var buf [64]byte
-			key = appendSyndromeKey(append(buf[:0], d.pathID), defects)
+			key = appendSyndromeKey(buf[:0], defects)
 		}
 		if obs, ok := d.cache.get(key); ok {
 			return obs, true, pathNone, nil

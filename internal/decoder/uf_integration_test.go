@@ -189,60 +189,6 @@ func TestUFStatsCountersInDecodeRange(t *testing.T) {
 	}
 }
 
-func TestSharedCachePathIdentity(t *testing.T) {
-	// Regression: decoders with different k>=3 routes sharing one process-
-	// wide cache must never serve each other's masks. The observable
-	// symptom guarded here: a syndrome cached by the uf-path decoder is a
-	// cache MISS for the fast-path decoder (and vice versa), while a
-	// second decoder with the same path identity gets a HIT.
-	model := chainModel(30, []float64{0.01, 0.03, 0.02})
-	shared := NewCache(0)
-	ufA, err := NewWithOptions(model, Options{UnionFind: true, SharedCache: shared})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ufB, err := NewWithOptions(model, Options{UnionFind: true, SharedCache: shared})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fast, err := NewWithOptions(model, Options{SharedCache: shared})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defects := []int{2, 3, 10, 11, 20, 21}
-	s := ufA.NewScratch()
-	if _, hit, _, err := ufA.decode(defects, s); err != nil || hit {
-		t.Fatalf("first uf decode: hit=%v err=%v; want cold miss", hit, err)
-	}
-	if _, hit, _, err := ufB.decode(defects, ufB.NewScratch()); err != nil || !hit {
-		t.Fatalf("same-path decoder: hit=%v err=%v; want shared hit", hit, err)
-	}
-	obsFast, hit, _, err := fast.decode(defects, fast.NewScratch())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hit {
-		t.Fatal("fast-path decoder was served a union-find cache entry")
-	}
-	// And the reverse direction: the fast decode above populated its own
-	// namespace; a fresh fast-path decoder hits it, the uf path still
-	// owns its separate entry.
-	fast2, err := NewWithOptions(model, Options{SharedCache: shared})
-	if err != nil {
-		t.Fatal(err)
-	}
-	obsFast2, hit, _, err := fast2.decode(defects, fast2.NewScratch())
-	if err != nil || !hit {
-		t.Fatalf("second fast decoder: hit=%v err=%v; want shared hit", hit, err)
-	}
-	if obsFast2 != obsFast {
-		t.Fatalf("shared fast entry changed: %b vs %b", obsFast2, obsFast)
-	}
-	if shared.Len() != 2 {
-		t.Fatalf("shared cache holds %d entries; want 2 (one per path identity)", shared.Len())
-	}
-}
-
 // TestUFWilsonBoundLER is the bounded-accuracy gate: on every architecture
 // at d=3/5/7, the union-find decoder's logical error rate must agree with
 // blossom's within overlapping Wilson intervals on a common sampled batch.

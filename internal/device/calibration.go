@@ -7,7 +7,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"sort"
+	"strconv"
+	"strings"
 
 	"surfstitch/internal/grid"
 )
@@ -272,6 +275,29 @@ var calBands = map[string]calBand{
 // GenerateCalibration (and the -calibration preset syntax), ordered from
 // best to worst chip.
 func CalibrationSnapshots() []string { return []string{"good", "median", "bad"} }
+
+// LoadCalibration resolves a calibration argument for d: either a snapshot
+// spec "<snapshot>[:<seed>]" (good, median, bad; seed 1 when omitted) drawn
+// reproducibly for the device, or a path to a Calibration JSON file.
+func LoadCalibration(d *Device, arg string) (*Calibration, error) {
+	name, seedStr, hasSeed := strings.Cut(arg, ":")
+	if _, ok := calBands[name]; !ok {
+		blob, err := os.ReadFile(arg)
+		if err != nil {
+			return nil, err
+		}
+		return ParseCalibration(blob)
+	}
+	seed := int64(1)
+	if hasSeed {
+		var err error
+		seed, err = strconv.ParseInt(seedStr, 10, 64)
+		if err != nil {
+			return nil, fmt.Errorf("bad calibration seed %q: %v", seedStr, err)
+		}
+	}
+	return GenerateCalibration(d, name, seed)
+}
 
 // GenerateCalibration produces a full-coverage snapshot for the device from
 // a named preset band and a seed. The same (device, name, seed) triple

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -210,5 +212,38 @@ func TestWithDefectsRejectsNonFiniteOverrideRates(t *testing.T) {
 		}); !errors.Is(err, ErrBadDefect) {
 			t.Fatalf("coupler override rate %v: error = %v, want ErrBadDefect", rate, err)
 		}
+	}
+}
+
+// LoadCalibration reads a snapshot spec (seed 1 by default) or a file.
+func TestLoadCalibration(t *testing.T) {
+	dev := Square(3, 3)
+	want, err := GenerateCalibration(dev, "median", 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := LoadCalibration(dev, "median:7"); err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("snapshot spec: err %v, snapshot differs: %v", err, !reflect.DeepEqual(got, want))
+	}
+	seed1, err := GenerateCalibration(dev, "good", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := LoadCalibration(dev, "good"); err != nil || !reflect.DeepEqual(got, seed1) {
+		t.Fatalf("default seed: err %v", err)
+	}
+	if _, err := LoadCalibration(dev, "bad:x"); err == nil {
+		t.Fatal("bad seed accepted")
+	}
+	path := filepath.Join(t.TempDir(), "cal.json")
+	data, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := LoadCalibration(dev, path); err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("file: err %v", err)
 	}
 }

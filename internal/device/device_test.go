@@ -273,3 +273,18 @@ func TestKindString(t *testing.T) {
 		}
 	}
 }
+
+// ParseKind inverts Kind.String over the parametric families.
+func TestParseKindRoundTrip(t *testing.T) {
+	for _, k := range AllKinds() {
+		got, err := ParseKind(k.String())
+		if err != nil || got != k {
+			t.Errorf("ParseKind(%q) = %v, %v; want %v", k.String(), got, err, k)
+		}
+	}
+	for _, name := range []string{"custom", "triangle", ""} {
+		if _, err := ParseKind(name); err == nil {
+			t.Errorf("ParseKind(%q) accepted", name)
+		}
+	}
+}

@@ -156,6 +156,16 @@ func AllKinds() []Kind {
 	return []Kind{KindSquare, KindHexagon, KindOctagon, KindHeavySquare, KindHeavyHexagon}
 }
 
+// ParseKind returns the parametric architecture family whose String is s.
+func ParseKind(s string) (Kind, error) {
+	for _, k := range AllKinds() {
+		if k.String() == s {
+			return k, nil
+		}
+	}
+	return KindCustom, fmt.Errorf("unknown architecture %q", s)
+}
+
 func checkTiles(name string, w, h int) {
 	if w < 1 || h < 1 {
 		panic(fmt.Sprintf("device: %s requires at least a 1x1 tiling, got %dx%d", name, w, h))

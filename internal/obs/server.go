@@ -17,18 +17,17 @@ type ServerMetrics struct {
 	// Backpressure counts submissions rejected with 429 because the queue
 	// was full (`server_backpressure_total`).
 	Backpressure *Counter
-	// CacheHits / CacheMisses / CacheStores / CacheEvictions are the
-	// content-addressed result cache counters; DiskHits counts the subset
-	// of hits served by the disk tier after a memory miss.
-	CacheHits      *Counter
-	CacheMisses    *Counter
-	CacheStores    *Counter
-	CacheEvictions *Counter
-	CacheDiskHits  *Counter
-	// CacheDiskCorrupt counts disk-tier entries rejected by the integrity
-	// check (truncated file, invalid JSON, checksum or key mismatch); each
-	// reads as a miss and the bad file is dropped.
-	CacheDiskCorrupt *Counter
+	// CacheHits counts submissions answered at once by an identical done
+	// job (`server_cache_hits_total`); CacheMisses counts every other valid
+	// submission, whether coalesced, queued or refused
+	// (`server_cache_misses_total`).
+	CacheHits   *Counter
+	CacheMisses *Counter
+	// StoreCorrupt counts persisted job records that fail the integrity
+	// check at boot (`server_store_corrupt_total`): unparseable files, and
+	// done records whose result does not match its checksum, which are kept
+	// for inspection but never answer a submission.
+	StoreCorrupt *Counter
 	// SingleFlight counts submissions coalesced onto an identical job
 	// already queued or running (`server_singleflight_total`).
 	SingleFlight *Counter
@@ -43,18 +42,15 @@ type ServerMetrics struct {
 // nil, yielding no-op instruments).
 func NewServerMetrics(r *Registry) *ServerMetrics {
 	return &ServerMetrics{
-		reg:              r,
-		QueueDepth:       r.Gauge("server_queue_depth"),
-		Backpressure:     r.Counter("server_backpressure_total"),
-		CacheHits:        r.Counter("server_cache_hits_total"),
-		CacheMisses:      r.Counter("server_cache_misses_total"),
-		CacheStores:      r.Counter("server_cache_stores_total"),
-		CacheEvictions:   r.Counter("server_cache_evictions_total"),
-		CacheDiskHits:    r.Counter("server_cache_disk_hits_total"),
-		CacheDiskCorrupt: r.Counter("server_cache_disk_corrupt_total"),
-		SingleFlight:     r.Counter("server_singleflight_total"),
-		JobsResumed:      r.Counter("server_jobs_resumed_total"),
-		PointsResumed:    r.Counter("server_curve_points_resumed_total"),
+		reg:           r,
+		QueueDepth:    r.Gauge("server_queue_depth"),
+		Backpressure:  r.Counter("server_backpressure_total"),
+		CacheHits:     r.Counter("server_cache_hits_total"),
+		CacheMisses:   r.Counter("server_cache_misses_total"),
+		StoreCorrupt:  r.Counter("server_store_corrupt_total"),
+		SingleFlight:  r.Counter("server_singleflight_total"),
+		JobsResumed:   r.Counter("server_jobs_resumed_total"),
+		PointsResumed: r.Counter("server_curve_points_resumed_total"),
 	}
 }
 

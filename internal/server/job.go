@@ -59,8 +59,8 @@ type Record struct {
 	// CacheKey is the surfstitch.ConfigHash content-address of the
 	// computation; identical requests share it.
 	CacheKey string `json:"cache_key"`
-	// CacheHit marks a job whose result was served from the cache without
-	// re-simulation.
+	// CacheHit marks a job whose result was served from an identical done
+	// job without re-simulation.
 	CacheHit  bool      `json:"cache_hit,omitempty"`
 	Created   time.Time `json:"created"`
 	Started   time.Time `json:"started,omitempty"`
@@ -70,6 +70,11 @@ type Record struct {
 	// Result is the kind-specific payload: a synthesis report, a single
 	// point, or a curve document.
 	Result json.RawMessage `json:"result,omitempty"`
+	// ResultSHA256 is the hex SHA-256 of CacheKey followed by Result, set
+	// with the result. A done record loaded from disk answers identical
+	// submissions only when it matches, so a changed result, or a result
+	// moved onto another key, is never served.
+	ResultSHA256 string `json:"result_sha256,omitempty"`
 	// Checkpoint holds the completed sweep points of a curve job; it is
 	// persisted after every point so a restart resumes instead of
 	// re-sweeping.
@@ -246,13 +251,22 @@ func (j *Job) finishLocked(state State, errMsg, kind string) {
 	j.cancel = nil
 }
 
-// setResult installs the result payload (still non-terminal; finish
-// follows).
+// setResult installs the result payload and its checksum (still
+// non-terminal; finish follows).
 func (j *Job) setResult(blob json.RawMessage, cacheHit bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.rec.Result = blob
+	j.rec.ResultSHA256 = resultSum(j.rec.CacheKey, blob)
 	j.rec.CacheHit = cacheHit
+}
+
+// outcome reads the state and the result together, so a caller never
+// pairs a state with a result from another moment.
+func (j *Job) outcome() (State, json.RawMessage) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.rec.State, j.rec.Result
 }
 
 // checkpointed returns the completed sweep points as a p-indexed map.

@@ -1,10 +1,11 @@
 // Package server is the serving layer of the repository: surfstitchd's
-// HTTP API, its bounded job queue and worker pool, the persistent job
-// store, and the content-addressed result cache. The package turns the
+// HTTP API, its bounded job queue and worker pool, and the persistent job
+// store, which indexes jobs by content address. The package turns the
 // facade's batch computations (synthesize, estimate a point, sweep a
-// curve) into asynchronous jobs with validation, backpressure,
-// cancellation, checkpointed resume, and cached re-serving of identical
-// requests.
+// curve, lattice surgery) into asynchronous jobs with validation,
+// backpressure, cancellation, checkpointed resume, and re-serving of
+// identical requests: a done job answers them, and a queued or running one
+// absorbs them.
 package server
 
 import (
@@ -342,28 +343,14 @@ func (ds DeviceSpec) build() (*surfstitch.Device, error) {
 		}
 		return d, nil
 	default:
-		arch, err := parseArch(ds.Arch)
+		kind, err := device.ParseKind(ds.Arch)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%w: %v", surfstitch.ErrInvalidConfig, err)
 		}
-		return surfstitch.NewDevice(arch, ds.Width, ds.Height)
-	}
-}
-
-func parseArch(s string) (surfstitch.Architecture, error) {
-	switch s {
-	case "square":
-		return surfstitch.Square, nil
-	case "hexagon":
-		return surfstitch.Hexagon, nil
-	case "octagon":
-		return surfstitch.Octagon, nil
-	case "heavy-square":
-		return surfstitch.HeavySquare, nil
-	case "heavy-hexagon":
-		return surfstitch.HeavyHexagon, nil
-	default:
-		return 0, fmt.Errorf("%w: unknown architecture %q", surfstitch.ErrInvalidConfig, s)
+		if ds.Width < 1 || ds.Height < 1 {
+			return nil, fmt.Errorf("%w: tiling %dx%d must be at least 1x1", surfstitch.ErrInvalidConfig, ds.Width, ds.Height)
+		}
+		return device.ByKind(kind, ds.Width, ds.Height), nil
 	}
 }
 

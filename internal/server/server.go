@@ -21,7 +21,7 @@ import (
 const maxRequestBytes = 1 << 20
 
 // Config configures a Server. The zero value is valid: memory-only store,
-// memory-only cache, default pool sizes.
+// default pool sizes.
 type Config struct {
 	// QueueSize bounds the job intake (default 64); a full queue answers
 	// 429 with Retry-After.
@@ -31,12 +31,9 @@ type Config struct {
 	// MCWorkers sizes each job's Monte-Carlo pool (0 = NumCPU). Results
 	// are bit-identical at any setting, so this is pure capacity policy.
 	MCWorkers int
-	// CacheEntries caps the in-memory result LRU (default 1024).
-	CacheEntries int
-	// CacheDir, when set, adds a disk tier under the LRU.
-	CacheDir string
 	// StoreDir, when set, persists job records so queued and running work
-	// survives a restart.
+	// survives a restart and done results answer identical submissions
+	// after it.
 	StoreDir string
 	// JobTimeout is the default per-job deadline (0 = none); a request's
 	// timeout_seconds overrides it.
@@ -57,9 +54,6 @@ func (cfg Config) withDefaults() Config {
 	if cfg.Workers == 0 {
 		cfg.Workers = 2
 	}
-	if cfg.CacheEntries == 0 {
-		cfg.CacheEntries = 1024
-	}
 	if cfg.RetryAfter == 0 {
 		cfg.RetryAfter = time.Second
 	}
@@ -73,23 +67,16 @@ func (cfg Config) withDefaults() Config {
 }
 
 // Server is the surfstitchd serving core: HTTP handlers over a bounded
-// worker-pool job queue, a persistent job store, and a content-addressed
-// result cache. Construct with New, wire Handler into an http.Server, call
-// Start, and Shutdown to drain.
+// worker-pool job queue and a persistent, content-addressed job store.
+// Construct with New, wire Handler into an http.Server, call Start, and
+// Shutdown to drain.
 type Server struct {
 	cfg   Config
 	reg   *obs.Registry
 	m     *obs.ServerMetrics
 	store *Store
-	cache *Cache
 	queue *Queue
 	mux   *http.ServeMux
-
-	// flights maps a cache key to the non-terminal job already computing it,
-	// so identical submissions coalesce instead of burning queue slots on
-	// work the cache is about to answer.
-	flightMu sync.Mutex
-	flights  map[string]*Job
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
@@ -97,6 +84,9 @@ type Server struct {
 	inflight   sync.WaitGroup // currently running jobs
 	started    atomic.Bool
 	draining   atomic.Bool
+	// drainMu orders a worker's draining check and inflight.Add against
+	// Shutdown setting draining, so Shutdown waits for every started job.
+	drainMu sync.Mutex
 }
 
 // New builds a server; Start must be called before it accepts jobs.
@@ -107,17 +97,13 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	cache, err := NewCache(cfg.CacheEntries, cfg.CacheDir, m)
-	if err != nil {
-		return nil, err
-	}
+	store.corrupt = m.StoreCorrupt
 	baseCtx, baseCancel := context.WithCancel(context.Background())
 	s := &Server{
 		cfg: cfg, reg: cfg.Registry, m: m,
-		store: store, cache: cache,
+		store:   store,
 		queue:   NewQueue(cfg.QueueSize, m),
 		mux:     http.NewServeMux(),
-		flights: map[string]*Job{},
 		baseCtx: baseCtx, baseCancel: baseCancel,
 	}
 	s.routes()
@@ -167,7 +153,6 @@ func (s *Server) Start() error {
 	}
 	for _, j := range resumable {
 		s.m.JobState(string(StateQueued)).Add(1)
-		s.claimFlight(j.cacheKey(), j)
 		if s.queue.Submit(j) {
 			s.m.JobsResumed.Inc()
 		} else {
@@ -189,7 +174,9 @@ func (s *Server) Start() error {
 // cancelled and they re-persist as queued with their checkpoints — the
 // resumable state Start picks up on the next boot.
 func (s *Server) Shutdown(ctx context.Context) error {
+	s.drainMu.Lock()
 	s.draining.Store(true)
+	s.drainMu.Unlock()
 	s.queue.Close()
 	done := make(chan struct{})
 	go func() {
@@ -218,15 +205,25 @@ func (s *Server) worker() {
 				return
 			}
 			s.m.QueueDepth.Add(-1)
-			if s.draining.Load() {
+			if !s.begin() {
 				// Leave it queued (and persisted); the next boot resumes it.
 				continue
 			}
-			s.inflight.Add(1)
 			s.runJob(j)
 			s.inflight.Done()
 		}
 	}
+}
+
+// begin counts a dequeued job as in flight unless the server is draining.
+func (s *Server) begin() bool {
+	s.drainMu.Lock()
+	defer s.drainMu.Unlock()
+	if s.draining.Load() {
+		return false
+	}
+	s.inflight.Add(1)
+	return true
 }
 
 // ---------------------------------------------------------------- handlers
@@ -241,29 +238,6 @@ type submitResponse struct {
 	Coalesced bool            `json:"coalesced,omitempty"`
 	StatusURL string          `json:"status_url"`
 	Result    json.RawMessage `json:"result,omitempty"`
-}
-
-// claimFlight registers j as the in-flight job for key unless another
-// non-terminal job already owns it; the owner and whether j claimed the
-// flight are returned. A terminal owner (completed, failed, or cancelled
-// while queued) is displaced — its result lives in the cache or nowhere.
-func (s *Server) claimFlight(key string, j *Job) (*Job, bool) {
-	s.flightMu.Lock()
-	defer s.flightMu.Unlock()
-	if owner, ok := s.flights[key]; ok && !owner.State().terminal() {
-		return owner, false
-	}
-	s.flights[key] = j
-	return j, true
-}
-
-// forgetFlight releases key if j still owns it.
-func (s *Server) forgetFlight(key string, j *Job) {
-	s.flightMu.Lock()
-	defer s.flightMu.Unlock()
-	if s.flights[key] == j {
-		delete(s.flights, key)
-	}
 }
 
 // errorResponse is the uniform error body.
@@ -305,11 +279,14 @@ func (s *Server) handleSubmit(kind string) http.HandlerFunc {
 			return
 		}
 
-		// Content-addressed fast path: an identical request completes
-		// immediately from the cache — no queue slot, no simulation, no
-		// synth spans.
-		if blob, ok := s.cache.Get(c.key); ok {
-			job.setResult(blob, true)
+		// Content addressing: an identical done job answers this submission
+		// at once (no queue slot, no simulation, no synth spans), and an
+		// identical queued or running job absorbs it — the caller polls the
+		// owner instead of spending a queue slot on a duplicate simulation.
+		owner, state, result := s.store.claim(job)
+		if state == StateDone {
+			s.m.CacheHits.Inc()
+			job.setResult(result, true)
 			job.sealManifest(s.reg, false)
 			job.finish(StateDone, "", "")
 			s.m.JobState(string(StateDone)).Add(1)
@@ -319,25 +296,22 @@ func (s *Server) handleSubmit(kind string) http.HandlerFunc {
 			}
 			s.respond(w, http.StatusOK, submitResponse{
 				JobID: job.ID(), State: StateDone, CacheHit: true,
-				StatusURL: "/v1/jobs/" + job.ID(), Result: blob,
+				StatusURL: "/v1/jobs/" + job.ID(), Result: result,
 			})
 			return
 		}
-
-		// Single-flight: an identical job already queued or running answers
-		// this submission too — the caller polls the owner instead of
-		// spending a queue slot and a duplicate simulation.
-		if owner, claimed := s.claimFlight(c.key, job); !claimed {
+		s.m.CacheMisses.Inc()
+		if owner != job {
 			s.m.SingleFlight.Inc()
 			s.respond(w, http.StatusAccepted, submitResponse{
-				JobID: owner.ID(), State: owner.State(), Coalesced: true,
+				JobID: owner.ID(), State: state, Coalesced: true,
 				StatusURL: "/v1/jobs/" + owner.ID(),
 			})
 			return
 		}
 
 		if !s.queue.Submit(job) {
-			s.forgetFlight(c.key, job)
+			s.store.release(job)
 			w.Header().Set("Retry-After", strconv.Itoa(int(s.cfg.RetryAfter.Seconds()+0.5)))
 			s.respond(w, http.StatusTooManyRequests, errorResponse{Error: "job queue is full", Kind: "backpressure"})
 			return
@@ -419,9 +393,6 @@ func (s *Server) saveJob(j *Job) {
 // runJob executes one job under its own context and settles its terminal
 // (or requeued) state.
 func (s *Server) runJob(j *Job) {
-	// Release the single-flight claim however the job settles; by then the
-	// cache (on success) or a fresh submission (otherwise) takes over.
-	defer s.forgetFlight(j.cacheKey(), j)
 	if j.State().terminal() {
 		return // cancelled while queued
 	}
@@ -525,7 +496,6 @@ func (s *Server) runSynthesize(ctx context.Context, j *Job, c *compiled) error {
 		return err
 	}
 	j.setResult(blob, false)
-	s.cache.Put(c.key, blob)
 	return nil
 }
 
@@ -607,7 +577,6 @@ func (s *Server) runSurgery(ctx context.Context, j *Job, c *compiled) error {
 		return err
 	}
 	j.setResult(blob, false)
-	s.cache.Put(c.key, blob)
 	return nil
 }
 
@@ -628,7 +597,6 @@ func (s *Server) runEstimate(ctx context.Context, j *Job, c *compiled) error {
 		return err
 	}
 	j.setResult(blob, false)
-	s.cache.Put(c.key, blob)
 	return nil
 }
 
@@ -699,6 +667,5 @@ func (s *Server) runCurve(ctx context.Context, j *Job, c *compiled) error {
 		return err
 	}
 	j.setResult(blob, false)
-	s.cache.Put(c.key, blob)
 	return nil
 }

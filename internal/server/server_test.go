@@ -214,10 +214,11 @@ func TestBackpressure(t *testing.T) {
 		"run": map[string]any{"shots": 50_000_000, "seed": 12},
 	}))
 
-	resp, blob := postJSON(t, ts, "/v1/estimate", squareReq(map[string]any{
+	refused := squareReq(map[string]any{
 		"p":   0.002,
 		"run": map[string]any{"shots": 50_000_000, "seed": 13},
-	}))
+	})
+	resp, blob := postJSON(t, ts, "/v1/estimate", refused)
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("full queue: status %d, body %s", resp.StatusCode, blob)
 	}
@@ -238,6 +239,42 @@ func TestBackpressure(t *testing.T) {
 		if _, err := http.DefaultClient.Do(req); err != nil {
 			t.Fatalf("DELETE: %v", err)
 		}
+	}
+
+	// Once the worker has drained the queue, the refused body is a fresh
+	// job: the 429 released its claim, so nothing is left to coalesce onto.
+	deadline := time.Now().Add(60 * time.Second)
+	for s.m.QueueDepth.Value() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("queue never drained")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	retry := submit(t, ts, "/v1/estimate", refused)
+	if retry.Coalesced || retry.CacheHit || retry.State != StateQueued {
+		t.Fatalf("refused body resubmitted: coalesced=%v hit=%v state=%s, want a fresh queued job",
+			retry.Coalesced, retry.CacheHit, retry.State)
+	}
+	if rec := getJob(t, ts, retry.JobID); rec.ID != retry.JobID {
+		t.Fatalf("resubmitted job %s not stored", retry.JobID)
+	}
+	cancelJob(t, ts, retry.JobID)
+}
+
+// cancelJob sends DELETE /v1/jobs/{id} and expects it accepted.
+func cancelJob(t *testing.T, ts *httptest.Server, id string) {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+id, nil)
+	if err != nil {
+		t.Fatalf("DELETE request: %v", err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatalf("DELETE: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("DELETE job %s: status %d", id, resp.StatusCode)
 	}
 }
 
@@ -445,6 +482,48 @@ func TestDrainingRejectsSubmissions(t *testing.T) {
 	rz.Body.Close()
 	if rz.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("draining readyz: status %d", rz.StatusCode)
+	}
+}
+
+// Shutdown must wait for a job a worker dequeues just as draining begins:
+// the job either never starts (it stays queued for the next boot) or runs
+// to its end inside the drain timeout — it is never cancelled early. Under
+// -race (make race-core) this also checks that counting the job in flight
+// is ordered against Shutdown's wait.
+func TestShutdownWaitsForStartedJob(t *testing.T) {
+	// An infeasible device fails synthesis quickly, so each round is short.
+	body, err := json.Marshal(map[string]any{
+		"device": map[string]any{"arch": "square", "width": 2, "height": 2}, "distance": 3,
+	})
+	if err != nil {
+		t.Fatalf("marshal: %v", err)
+	}
+	for i := 0; i < 40; i++ {
+		s, err := New(Config{Workers: 1, MCWorkers: 1, Logf: t.Logf})
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		if err := s.Start(); err != nil {
+			t.Fatalf("Start: %v", err)
+		}
+		w := httptest.NewRecorder()
+		s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/synthesize", bytes.NewReader(body)))
+		if w.Code != http.StatusAccepted {
+			t.Fatalf("submit: status %d, body %s", w.Code, w.Body)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		err = s.Shutdown(ctx)
+		cancel()
+		if err != nil {
+			t.Fatalf("Shutdown: %v", err)
+		}
+		rec := s.store.List()[0].Snapshot()
+		neverStarted := rec.State == StateQueued && rec.Started.IsZero()
+		ranToEnd := rec.State == StateFailed && rec.ErrorKind == "no_placement"
+		if !neverStarted && !ranToEnd {
+			t.Fatalf("round %d: job ended %s (%s) after starting at %v; Shutdown did not wait for it",
+				i, rec.State, rec.ErrorKind, rec.Started)
+		}
 	}
 }
 

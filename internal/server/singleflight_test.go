@@ -79,6 +79,26 @@ func TestSingleFlightReleasedOnCompletion(t *testing.T) {
 	}
 }
 
+// A cancelled owner answers nothing: an identical submission mints a new
+// job instead of being served or folded onto the cancelled one.
+func TestCancelledOwnerMintsNewJob(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1, MCWorkers: 1})
+	owner := submit(t, ts, "/v1/estimate", slowEstimate())
+	waitJob(t, ts, owner.JobID, "running", func(r Record) bool { return r.State == StateRunning })
+	cancelJob(t, ts, owner.JobID)
+	waitJob(t, ts, owner.JobID, "cancelled", func(r Record) bool { return r.State == StateCancelled })
+
+	again := submit(t, ts, "/v1/estimate", slowEstimate())
+	if again.CacheHit || again.Coalesced || again.JobID == owner.JobID || again.State != StateQueued {
+		t.Fatalf("resubmission after cancel: hit=%v coalesced=%v job=%s (owner %s) state=%s; want a fresh queued job",
+			again.CacheHit, again.Coalesced, again.JobID, owner.JobID, again.State)
+	}
+	if hits, folds := s.m.CacheHits.Value(), s.m.SingleFlight.Value(); hits != 0 || folds != 0 {
+		t.Fatalf("hits/coalesced = %d/%d, want 0/0", hits, folds)
+	}
+	cancelJob(t, ts, again.JobID)
+}
+
 // calReq clones squareReq's estimate shape with a calibration spec attached.
 func calReq(preset string, seed int64) map[string]any {
 	return squareReq(map[string]any{
