@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race race-core lint chaos chaos-fidelity distcheck verify bench bench-json obs-smoke server-smoke
+.PHONY: build test vet race race-core lint chaos chaos-fidelity distcheck verify bench obs-smoke server-smoke
 
 build:
 	$(GO) build ./...
@@ -55,15 +55,6 @@ verify: vet race lint chaos chaos-fidelity distcheck
 
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x .
-
-# Decoder comparisons on synthesized square-tiling memories at d=3/5/7:
-# fast path vs. slow path, union-find vs. blossom on a forced-k>=3
-# workload, union-find vs. blossom on a merged 2-patch lattice-surgery
-# graph at d=5, and sliding-window streaming decode; writes ns/shot and
-# allocs/shot for every row (plus cache hit rate for the cached paths)
-# to BENCH_decode.json.
-bench-json:
-	$(GO) run ./cmd/benchdecode -out BENCH_decode.json
 
 # Observability smoke: launch cmd/threshold against a live -metrics-addr,
 # scrape /metrics mid-run, and assert the core series (synth stage spans,

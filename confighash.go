@@ -6,8 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
-
-	"surfstitch/internal/noise"
 )
 
 // ConfigHash returns the stable content-address of a computation request:
@@ -150,31 +148,20 @@ func canonicalDevice(dev *Device) map[string]any {
 
 // canonicalRun normalizes a RunConfig to the values the estimation engine
 // actually resolves, dropping the non-semantic fields (Workers, Registry).
+// Shots, seed and idle rate come from the engine's own defaults, so a
+// zero field and its resolved value always share one content address.
 func canonicalRun(cfg RunConfig, distance int) map[string]any {
-	shots := cfg.Shots
-	if shots == 0 {
-		shots = 2000 // threshold.Config.withDefaults
-	}
+	tc := cfg.thresholdConfig().WithDefaults()
 	rounds := cfg.Rounds
 	if rounds == 0 {
 		rounds = 3 * distance
 	}
-	idle := cfg.IdleError
-	if cfg.NoIdle {
-		idle = 0
-	} else if idle == 0 {
-		idle = noise.DefaultIdleError
-	}
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = 20220618 // threshold.Config.withDefaults
-	}
 	out := map[string]any{
-		"shots":      shots,
+		"shots":      tc.Shots,
 		"rounds":     rounds,
-		"idle_error": idle,
+		"idle_error": tc.IdleError,
 		"no_idle":    cfg.NoIdle,
-		"seed":       seed,
+		"seed":       tc.Seed,
 		"basis":      cfg.Basis.String(),
 		"target_rse": cfg.TargetRSE,
 		"max_errors": cfg.MaxErrors,

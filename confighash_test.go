@@ -42,11 +42,12 @@ func TestConfigHashIgnoresNonSemanticFields(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ConfigHash: %v", err)
 	}
+	// Zero fields normalize to the defaults the engine resolves them to.
+	engine := RunConfig{}.thresholdConfig().WithDefaults()
 	variants := map[string]RunConfig{
-		"workers":  {Seed: 1, Workers: 7},
-		"registry": {Seed: 1, Registry: NewRegistry()},
-		// Zero fields normalize to the defaults they resolve to.
-		"explicit defaults": {Seed: 1, Shots: 2000, Rounds: 9, IdleError: DefaultIdleError},
+		"workers":           {Seed: 1, Workers: 7},
+		"registry":          {Seed: 1, Registry: NewRegistry()},
+		"explicit defaults": {Seed: 1, Shots: engine.Shots, Rounds: 9, IdleError: engine.IdleError},
 	}
 	for name, cfg := range variants {
 		got, err := ConfigHash("estimate", dev, 3, Options{}, []float64{0.002}, cfg)
@@ -56,6 +57,17 @@ func TestConfigHashIgnoresNonSemanticFields(t *testing.T) {
 		if got != base {
 			t.Errorf("%s changed the hash: %s != %s", name, got, base)
 		}
+	}
+	zeroSeed, err := ConfigHash("estimate", dev, 3, Options{}, []float64{0.002}, RunConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	engineSeed, err := ConfigHash("estimate", dev, 3, Options{}, []float64{0.002}, RunConfig{Seed: engine.Seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if zeroSeed != engineSeed {
+		t.Errorf("a zero seed and the engine's default seed %d hash differently", engine.Seed)
 	}
 	// A renamed but otherwise identical custom device must hash the same.
 	var qs []Coord

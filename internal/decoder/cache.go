@@ -2,11 +2,11 @@ package decoder
 
 import "sync"
 
-// defaultCacheSize bounds the syndrome cache when Options.CacheSize is
-// zero. At sub-threshold error rates the number of distinct sparse
-// syndromes a run actually produces is far below this, so the bound exists
-// to cap worst-case memory near threshold, not to force eviction churn.
-const defaultCacheSize = 1 << 16
+// cacheSize bounds every decoder's syndrome cache in entries. At
+// sub-threshold error rates the number of distinct sparse syndromes a run
+// actually produces is far below this, so the bound exists to cap
+// worst-case memory near threshold, not to force eviction churn.
+const cacheSize = 1 << 16
 
 // synCache is the bounded syndrome→observable-mask cache. It exploits the
 // fact that low-p shots repeat sparse syndromes: the same one- or

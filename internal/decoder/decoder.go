@@ -34,8 +34,8 @@ const weightScale = 1024.0
 // rows are computed lazily per source on first use, one- and two-defect
 // syndromes decode in closed form without the blossom matcher, and a
 // bounded syndrome→observable cache short-circuits repeated sparse
-// syndromes. The fast path is bit-identical to the eager full-blossom slow
-// path (Options.ForceSlowPath) for every defect set.
+// syndromes. Every prediction is bit-identical to decodeBlossom's, the
+// package's exact reference: blossom over the whole defect set.
 type Decoder struct {
 	numDet int
 	numObs int
@@ -51,12 +51,10 @@ type Decoder struct {
 	opts Options
 
 	// rows holds the lazily computed per-source shortest-path rows. A slot
-	// is nil until the source is first used in a decode; under
-	// ForceSlowPath every slot is filled at compile time (the old eager
-	// all-pairs behavior).
+	// is nil until the source is first used in a decode.
 	rows []atomic.Pointer[pathRow]
 
-	// cache memoizes syndrome→observable-mask results (nil when disabled).
+	// cache memoizes syndrome→observable-mask results.
 	cache *synCache
 
 	// ufg is the lazily compiled union-find decoding graph: a pure function
@@ -90,23 +88,11 @@ type Options struct {
 	// (the decoder ablation in the benchmark harness).
 	NaiveDecomposition bool
 
-	// ForceSlowPath disables the sparse-syndrome fast path: shortest-path
-	// rows are computed eagerly for every source at compile time, every
-	// defect set runs the full blossom matching, and the syndrome cache is
-	// off. This reproduces the pre-fast-path decoder exactly; it exists
-	// for differential testing and the ablation harness.
-	ForceSlowPath bool
-
-	// CacheSize bounds the syndrome cache in entries. Zero selects the
-	// default (65536); a negative value disables the cache.
-	CacheSize int
-
 	// UnionFind routes k>=3 defect sets through the almost-linear
 	// union-find decoder (internal/uf) instead of dense blossom matching.
 	// The k<=2 closed forms still apply. UF corrections are valid but only
 	// approximately minimum-weight; undecodable clusters (odd parity on a
-	// boundaryless component) escalate back to blossom. Ignored under
-	// ForceSlowPath.
+	// boundaryless component) escalate back to blossom.
 	UnionFind bool
 }
 
@@ -225,7 +211,7 @@ func NewWithOptions(model *dem.Model, opts Options) (*Decoder, error) {
 	// Build the adjacency in sorted edge order: map iteration order would
 	// otherwise vary between decoder instances, and equal-weight shortest
 	// paths would tie-break differently — breaking the bit-identity
-	// contract between separately compiled fast- and slow-path decoders.
+	// contract between separately compiled decoders.
 	keys := make([]key, 0, len(probs))
 	for k := range probs {
 		keys = append(keys, k)
@@ -251,19 +237,7 @@ func NewWithOptions(model *dem.Model, opts Options) (*Decoder, error) {
 	}
 	d.opts = opts
 	d.rows = make([]atomic.Pointer[pathRow], n)
-	if opts.ForceSlowPath {
-		// The slow path keeps the eager O(n²) all-pairs compile.
-		for src := 0; src < n; src++ {
-			d.row(src)
-		}
-	}
-	if !opts.ForceSlowPath && opts.CacheSize >= 0 {
-		size := opts.CacheSize
-		if size == 0 {
-			size = defaultCacheSize
-		}
-		d.cache = newSynCache(size)
-	}
+	d.cache = newSynCache(cacheSize)
 	return d, nil
 }
 
@@ -428,59 +402,54 @@ func (d *Decoder) decode(defects []int, s *Scratch) (uint64, bool, decodePath, e
 		return 0, false, pathNone, nil
 	}
 	var key []byte
-	if d.cache != nil {
-		if s != nil {
-			s.key = appendSyndromeKey(s.key[:0], defects)
-			key = s.key
-		} else {
-			var buf [64]byte
-			key = appendSyndromeKey(buf[:0], defects)
-		}
-		if obs, ok := d.cache.get(key); ok {
-			return obs, true, pathNone, nil
-		}
+	if s != nil {
+		s.key = appendSyndromeKey(s.key[:0], defects)
+		key = s.key
+	} else {
+		var buf [64]byte
+		key = appendSyndromeKey(buf[:0], defects)
+	}
+	if obs, ok := d.cache.get(key); ok {
+		return obs, true, pathNone, nil
 	}
 	obs, path, err := d.decodeMiss(defects, s)
 	if err != nil {
 		return 0, false, path, err
 	}
-	if d.cache != nil {
-		d.cache.put(key, obs)
-	}
+	d.cache.put(key, obs)
 	return obs, false, path, nil
 }
 
 // decodeMiss decodes a non-empty, uncached defect set: closed forms for
-// one- and two-defect syndromes on the fast path, full blossom otherwise.
+// one- and two-defect syndromes, union-find (when enabled) or full blossom
+// otherwise.
 func (d *Decoder) decodeMiss(defects []int, s *Scratch) (uint64, decodePath, error) {
-	if !d.opts.ForceSlowPath {
-		switch len(defects) {
-		case 1:
-			r := d.row(defects[0])
-			if quantWeight(r.dist[d.boundary]) < 0 {
-				return 0, pathK1, fmt.Errorf("decoder: defects unmatchable: no path joins defect %d to the boundary", defects[0])
+	switch len(defects) {
+	case 1:
+		r := d.row(defects[0])
+		if quantWeight(r.dist[d.boundary]) < 0 {
+			return 0, pathK1, fmt.Errorf("decoder: defects unmatchable: no path joins defect %d to the boundary", defects[0])
+		}
+		return r.mask[d.boundary], pathK1, nil
+	case 2:
+		if obs, ok, err := d.decodePair(defects); ok {
+			return obs, pathK2, err
+		}
+		// Exact quantized tie between the pair path and the two boundary
+		// paths: fall through to the blossom so the choice — and thus the
+		// predicted mask — stays bit-identical to decodeBlossom's
+		// tie-breaking.
+	default:
+		if d.opts.UnionFind {
+			if obs, ok := d.decodeUF(defects, s); ok {
+				return obs, pathUF, nil
 			}
-			return r.mask[d.boundary], pathK1, nil
-		case 2:
-			if obs, ok, err := d.decodePair(defects); ok {
-				return obs, pathK2, err
-			}
-			// Exact quantized tie between the pair path and the two
-			// boundary paths: fall through to the blossom so the choice —
-			// and thus the predicted mask — stays bit-identical to the
-			// slow path's tie-breaking.
-		default:
-			if d.opts.UnionFind {
-				if obs, ok := d.decodeUF(defects, s); ok {
-					return obs, pathUF, nil
-				}
-				// Escalation: the union-find decoder could not resolve the
-				// cluster (odd parity trapped on a boundaryless component,
-				// or an internal invariant tripped); the blossom handles it
-				// — or reports the canonical unmatchable error.
-				obs, err := d.decodeBlossom(defects, s)
-				return obs, pathUFFallback, err
-			}
+			// Escalation: the union-find decoder could not resolve the
+			// cluster (odd parity trapped on a boundaryless component, or
+			// an internal invariant tripped); the blossom handles it — or
+			// reports the canonical unmatchable error.
+			obs, err := d.decodeBlossom(defects, s)
+			return obs, pathUFFallback, err
 		}
 	}
 	obs, err := d.decodeBlossom(defects, s)
@@ -538,9 +507,9 @@ func (d *Decoder) decodeUF(defects []int, s *Scratch) (uint64, bool) {
 
 // decodePair decodes a two-defect syndrome in closed form: the minimum of
 // matching the pair along their shortest path versus sending both defects
-// to the boundary (the only two perfect matchings of the 4-node slow-path
-// graph). ok=false reports an exact tie, which the caller resolves with
-// the blossom.
+// to the boundary (the only two perfect matchings of decodeBlossom's
+// 4-node graph). ok=false reports an exact tie, which the caller resolves
+// with the blossom.
 func (d *Decoder) decodePair(defects []int) (obs uint64, ok bool, err error) {
 	a, b := defects[0], defects[1]
 	ra, rb := d.row(a), d.row(b)
@@ -561,11 +530,13 @@ func (d *Decoder) decodePair(defects []int) (obs uint64, ok bool, err error) {
 	}
 }
 
-// decodeBlossom runs the full minimum-weight perfect matching. Nodes
-// 0..k-1 are defects; k..2k-1 are their boundary images, interconnected
-// with zero-weight edges so that any subset of them can pair off among
-// themselves. With a scratch, the edge buffer and matcher state are reused
-// across calls.
+// decodeBlossom runs the full minimum-weight perfect matching over the
+// whole defect set, with no closed forms and no cache: the exact reference
+// the fast path reproduces bit for bit, which the differential tests call
+// directly. Nodes 0..k-1 are defects; k..2k-1 are their boundary images,
+// interconnected with zero-weight edges so that any subset of them can
+// pair off among themselves. With a scratch, the edge buffer and matcher
+// state are reused across calls.
 func (d *Decoder) decodeBlossom(defects []int, s *Scratch) (uint64, error) {
 	k := len(defects)
 	// Exact capacity: at most k(k-1)/2 defect-pair edges, exactly k(k-1)/2
@@ -628,8 +599,7 @@ type Stats struct {
 	LogicalErrors int // shots where prediction != actual observable flips
 
 	// CacheHits and CacheMisses count syndrome-cache outcomes over the
-	// non-empty defect sets decoded (both zero when the cache is disabled
-	// or the slow path forced). They are observability counters: which
+	// non-empty defect sets decoded. They are observability counters: which
 	// range first sees a syndrome depends on goroutine scheduling, so
 	// unlike Shots and LogicalErrors they are not bit-identical across
 	// worker counts.
@@ -713,7 +683,7 @@ func (d *Decoder) DecodeRangeScratch(batch *frame.Batch, lo, hi int, s *Scratch)
 			k = KHistBuckets - 1
 		}
 		stats.KHist[k]++
-		if d.cache != nil && len(s.defects) > 0 {
+		if len(s.defects) > 0 {
 			if hit {
 				stats.CacheHits++
 			} else {

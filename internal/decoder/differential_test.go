@@ -2,9 +2,11 @@ package decoder
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
+	"surfstitch/internal/circuit"
 	"surfstitch/internal/dem"
 	"surfstitch/internal/device"
 	"surfstitch/internal/devicetest"
@@ -55,18 +57,21 @@ func randomDefects(rng *rand.Rand, numDet, maxK int) []int {
 	return dets
 }
 
-// diffDecoders compares fast-path and slow-path decoders on one defect set:
-// identical predictions, and errors (unmatchable sets) on both or neither.
-func diffDecoders(t *testing.T, fast, slow *Decoder, s *Scratch, defects []int) {
+// diffDecoders compares a decoder's full path against the blossom-only
+// reference — decodeBlossom on ref, a decoder compiled separately — on one
+// defect set: identical predictions, and errors (unmatchable sets) on both
+// or neither. It returns the reference prediction.
+func diffDecoders(t *testing.T, fast, ref *Decoder, s *Scratch, defects []int) uint64 {
 	t.Helper()
 	got, gotErr := fast.DecodeWithScratch(defects, s)
-	want, wantErr := slow.Decode(defects)
+	want, wantErr := ref.decodeBlossom(defects, nil)
 	if (gotErr != nil) != (wantErr != nil) {
-		t.Fatalf("defects %v: fast err=%v, slow err=%v", defects, gotErr, wantErr)
+		t.Fatalf("defects %v: fast err=%v, reference err=%v", defects, gotErr, wantErr)
 	}
 	if gotErr == nil && got != want {
-		t.Fatalf("defects %v: fast predicted %b, slow predicted %b", defects, got, want)
+		t.Fatalf("defects %v: fast predicted %b, reference predicted %b", defects, got, want)
 	}
+	return want
 }
 
 func TestFastPathMatchesSlowPathOnRandomModels(t *testing.T) {
@@ -79,16 +84,16 @@ func TestFastPathMatchesSlowPathOnRandomModels(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		slow, err := NewWithOptions(model, Options{ForceSlowPath: true})
+		ref, err := New(model)
 		if err != nil {
 			t.Fatal(err)
 		}
 		s := fast.NewScratch()
 		for _, mech := range model.Mechanisms {
-			diffDecoders(t, fast, slow, s, mech.Detectors)
+			diffDecoders(t, fast, ref, s, mech.Detectors)
 		}
 		for trial := 0; trial < 200; trial++ {
-			diffDecoders(t, fast, slow, s, randomDefects(rng, numDet, 8))
+			diffDecoders(t, fast, ref, s, randomDefects(rng, numDet, 8))
 		}
 	}
 }
@@ -121,6 +126,40 @@ func synthesizedMemory(t *testing.T, kind device.Kind, d int) *dem.Model {
 	return model
 }
 
+// fittedMemory synthesizes the distance-d memory of kind over the given
+// rounds on the smallest device that fits it (synth.FitDevice), the way the
+// paper harness builds its codes. The tableau check is skipped at d>=7, as
+// in synthesizedNoisyMemory.
+func fittedMemory(tb testing.TB, kind device.Kind, d, rounds int) (*synth.Synthesis, *experiment.Memory) {
+	tb.Helper()
+	_, layout, err := synth.FitDevice(kind, d, synth.ModeDefault)
+	if err != nil {
+		tb.Fatalf("fit %v d=%d: %v", kind, d, err)
+	}
+	s, err := synth.SynthesizeOnLayout(layout, synth.Options{})
+	if err != nil {
+		tb.Fatalf("synthesize %v d=%d: %v", kind, d, err)
+	}
+	mem, err := experiment.NewMemory(s, rounds, experiment.Options{SkipVerify: d >= 7})
+	if err != nil {
+		tb.Fatalf("memory %v d=%d: %v", kind, d, err)
+	}
+	return s, mem
+}
+
+// heavySquareD5 is the memory internal/paper's decoder ablations sample:
+// distance-5 heavy-square over 3d rounds, with gate noise p=0.002 and the
+// default idle noise on every qubit.
+func heavySquareD5(t *testing.T) *circuit.Circuit {
+	t.Helper()
+	s, mem := fittedMemory(t, device.KindHeavySquare, 5, 15)
+	c, err := mem.Noisy(noise.Model{GateError: 0.002, IdleError: noise.DefaultIdleError, IdleOnly: s.AllQubits()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 func TestFastPathMatchesSlowPathOnSynthesizedCircuits(t *testing.T) {
 	kinds := []device.Kind{
 		device.KindSquare, device.KindHexagon, device.KindOctagon,
@@ -138,7 +177,7 @@ func TestFastPathMatchesSlowPathOnSynthesizedCircuits(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				slow, err := NewWithOptions(model, Options{ForceSlowPath: true})
+				ref, err := New(model)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -148,7 +187,7 @@ func TestFastPathMatchesSlowPathOnSynthesizedCircuits(t *testing.T) {
 				s := fast.NewScratch()
 				rng := rand.New(rand.NewSource(int64(100*d) + int64(kind)))
 				for _, mech := range model.Mechanisms {
-					diffDecoders(t, fast, slow, s, mech.Detectors)
+					diffDecoders(t, fast, ref, s, mech.Detectors)
 				}
 				for trial := 0; trial < 150; trial++ {
 					set := map[int]bool{}
@@ -165,7 +204,7 @@ func TestFastPathMatchesSlowPathOnSynthesizedCircuits(t *testing.T) {
 						}
 					}
 					sortInts(defects)
-					diffDecoders(t, fast, slow, s, defects)
+					diffDecoders(t, fast, ref, s, defects)
 				}
 			})
 		}
@@ -173,43 +212,61 @@ func TestFastPathMatchesSlowPathOnSynthesizedCircuits(t *testing.T) {
 }
 
 func TestFastPathMatchesSlowPathOnSampledBatches(t *testing.T) {
-	// End-to-end over sampled batches: per-shot predictions and the merged
-	// Stats (Shots, LogicalErrors) agree between the paths, and DecodeBatch
-	// at full parallelism agrees with the serial range decode.
+	// End to end over sampled batches: every shot's prediction matches the
+	// blossom-only reference, and DecodeBatch counts the reference's logical
+	// errors. The inputs are repetition memories at p=0.02 and the
+	// heavy-square memory of the decoder ablations.
+	type input struct {
+		name  string
+		c     *circuit.Circuit
+		seed  int64
+		shots int
+	}
+	var inputs []input
 	for _, d := range []int{3, 5} {
 		c := noise.Uniform(0.02).MustApply(repetitionMemory(d, d))
-		model, err := dem.FromCircuit(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fast, err := New(model)
-		if err != nil {
-			t.Fatal(err)
-		}
-		slow, err := NewWithOptions(model, Options{ForceSlowPath: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sampler, err := frame.NewSampler(c, rand.New(rand.NewSource(int64(d))))
-		if err != nil {
-			t.Fatal(err)
-		}
-		batch := sampler.Sample(2000)
-		s := fast.NewScratch()
-		for shot := 0; shot < batch.Shots; shot++ {
-			diffDecoders(t, fast, slow, s, batch.ShotDetectors(shot))
-		}
-		fastStats, err := fast.DecodeBatch(batch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		slowStats, err := slow.DecodeBatch(batch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fastStats.Shots != slowStats.Shots || fastStats.LogicalErrors != slowStats.LogicalErrors {
-			t.Fatalf("d=%d: fast stats %+v != slow stats %+v", d, fastStats, slowStats)
-		}
+		inputs = append(inputs, input{fmt.Sprintf("repetition-d%d", d), c, int64(d), 2000})
+	}
+	hsShots := 4000
+	if testing.Short() {
+		hsShots = 400
+	}
+	inputs = append(inputs, input{"heavy-square-d5", heavySquareD5(t), 5, hsShots})
+	for _, in := range inputs {
+		t.Run(in.name, func(t *testing.T) {
+			model, err := dem.FromCircuit(in.c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fast, err := New(model)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := New(model)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sampler, err := frame.NewSampler(in.c, rand.New(rand.NewSource(in.seed)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			batch := sampler.Sample(in.shots)
+			s := fast.NewScratch()
+			refErrors := 0
+			for shot := 0; shot < batch.Shots; shot++ {
+				if diffDecoders(t, fast, ref, s, batch.ShotDetectors(shot)) != batch.ObservableMask(shot) {
+					refErrors++
+				}
+			}
+			stats, err := fast.DecodeBatch(batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats.Shots != batch.Shots || stats.LogicalErrors != refErrors {
+				t.Fatalf("stats %+v, want %d shots and the reference's %d logical errors",
+					stats, batch.Shots, refErrors)
+			}
+		})
 	}
 }
 
@@ -241,16 +298,6 @@ func TestLazyRowsComputedOnDemand(t *testing.T) {
 	if got == 0 || got > 2 {
 		t.Fatalf("after a 2-defect decode, %d rows computed (want 1..2)", got)
 	}
-	slow, err := NewWithOptions(model, Options{ForceSlowPath: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := countRows(slow); got != slow.numDet+1 {
-		t.Fatalf("slow path computed %d rows eagerly, want all %d", got, slow.numDet+1)
-	}
-	if slow.cache != nil {
-		t.Fatal("slow path must not carry a syndrome cache")
-	}
 }
 
 func TestSyndromeCacheCountersAndBound(t *testing.T) {
@@ -259,7 +306,12 @@ func TestSyndromeCacheCountersAndBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := NewWithOptions(model, Options{CacheSize: 4})
+	dec, err := New(model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec.cache = newSynCache(4)
+	ref, err := New(model)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,10 +324,18 @@ func TestSyndromeCacheCountersAndBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nonEmpty := 0
+	nonEmpty, refErrors := 0, 0
 	for shot := 0; shot < batch.Shots; shot++ {
-		if len(batch.ShotDetectors(shot)) > 0 {
+		defects := batch.ShotDetectors(shot)
+		if len(defects) > 0 {
 			nonEmpty++
+		}
+		want, err := ref.decodeBlossom(defects, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want != batch.ObservableMask(shot) {
+			refErrors++
 		}
 	}
 	if stats.CacheHits+stats.CacheMisses != nonEmpty {
@@ -288,21 +348,9 @@ func TestSyndromeCacheCountersAndBound(t *testing.T) {
 	if got := dec.cache.size(); got > 4 {
 		t.Fatalf("cache grew to %d entries past its bound of 4", got)
 	}
-	// Disabled cache: counters stay zero.
-	off, err := NewWithOptions(model, Options{CacheSize: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	offStats, err := off.DecodeBatch(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if offStats.CacheHits != 0 || offStats.CacheMisses != 0 {
-		t.Fatalf("disabled cache still counted: %+v", offStats)
-	}
-	if offStats.LogicalErrors != stats.LogicalErrors {
-		t.Fatalf("cache changed decode results: %d vs %d errors",
-			offStats.LogicalErrors, stats.LogicalErrors)
+	if stats.LogicalErrors != refErrors {
+		t.Fatalf("cache changed decode results: %d errors, reference %d",
+			stats.LogicalErrors, refErrors)
 	}
 }
 

@@ -46,7 +46,7 @@ func TestStreamFullWindowEqualsWholeShot(t *testing.T) {
 	// decode: the stream must agree bit for bit with Graph.Decode on the
 	// complete defect set.
 	model := chainModel(40, []float64{0.01, 0.02, 0.015})
-	dec, err := NewWithOptions(model, Options{UnionFind: true, CacheSize: -1})
+	dec, err := NewWithOptions(model, Options{UnionFind: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestStreamCommittedRegionsMatchWholeShot(t *testing.T) {
 	// committed corrections must equal the whole-shot ones — here checked
 	// end to end: the final prediction matches the whole-shot decode.
 	model := chainModel(60, []float64{0.01, 0.02, 0.015})
-	dec, err := NewWithOptions(model, Options{UnionFind: true, CacheSize: -1})
+	dec, err := NewWithOptions(model, Options{UnionFind: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestStreamVsWholeShotOnTilings(t *testing.T) {
 		t.Run(kind.String(), func(t *testing.T) {
 			d := 3
 			model, noisy, mem := synthesizedNoisyMemory(t, kind, d, 0.02)
-			dec, err := NewWithOptions(model, Options{UnionFind: true, CacheSize: -1})
+			dec, err := NewWithOptions(model, Options{UnionFind: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -309,7 +309,7 @@ func TestStreamDecodeZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := NewWithOptions(model, Options{UnionFind: true, CacheSize: -1})
+	dec, err := NewWithOptions(model, Options{UnionFind: true})
 	if err != nil {
 		t.Fatal(err)
 	}

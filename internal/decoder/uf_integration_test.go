@@ -70,7 +70,7 @@ func chainModel(numDet int, probs []float64) *dem.Model {
 
 func TestUFRoutesKGe3AndCounts(t *testing.T) {
 	model := chainModel(40, []float64{0.01, 0.02, 0.015})
-	ufDec, err := NewWithOptions(model, Options{UnionFind: true, CacheSize: -1})
+	ufDec, err := NewWithOptions(model, Options{UnionFind: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestUFFallbackOnUndecodableCluster(t *testing.T) {
 		{Detectors: []int{1, 2}, Prob: 0.01},
 		{Detectors: []int{2, 3}, Prob: 0.01},
 	}
-	dec, err := NewWithOptions(m, Options{UnionFind: true, CacheSize: -1})
+	dec, err := NewWithOptions(m, Options{UnionFind: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,13 +150,15 @@ func TestUFFallbackOnUndecodableCluster(t *testing.T) {
 
 func TestUFStatsCountersInDecodeRange(t *testing.T) {
 	// High-p repetition memory: plenty of k>=3 shots. UFShots must count
-	// them; UFFallbacks stays zero (every component touches the boundary).
+	// every k>=3 cache miss — one per distinct k>=3 syndrome, since the
+	// batch never fills the cache; UFFallbacks stays zero (every component
+	// touches the boundary).
 	c := noise.Uniform(0.05).MustApply(repetitionMemory(7, 7))
 	model, err := dem.FromCircuit(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := NewWithOptions(model, Options{UnionFind: true, CacheSize: -1})
+	dec, err := NewWithOptions(model, Options{UnionFind: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,15 +171,17 @@ func TestUFStatsCountersInDecodeRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kGe3 := 0
-	for k := 3; k < KHistBuckets; k++ {
-		kGe3 += st.KHist[k]
+	distinct := map[string]bool{}
+	for shot := 0; shot < batch.Shots; shot++ {
+		if defects := batch.ShotDetectors(shot); len(defects) >= 3 {
+			distinct[fmt.Sprint(defects)] = true
+		}
 	}
-	if kGe3 == 0 {
+	if len(distinct) == 0 {
 		t.Fatal("no k>=3 shots at p=0.05; test setup is wrong")
 	}
-	if st.UFShots != kGe3 {
-		t.Fatalf("UFShots = %d; want %d (every k>=3 shot)", st.UFShots, kGe3)
+	if st.UFShots != len(distinct) {
+		t.Fatalf("UFShots = %d; want %d (every distinct k>=3 syndrome)", st.UFShots, len(distinct))
 	}
 	if st.UFFallbacks != 0 || st.Blossom != 0 {
 		t.Fatalf("unexpected escalations: %+v", st)
@@ -226,7 +230,7 @@ func TestUFWilsonBoundLER(t *testing.T) {
 				// union-find path actually decides the rate and both
 				// decoders see plenty of logical errors.
 				model, noisy, _ := synthesizedNoisyMemory(t, kind, d, p)
-				ufDec, err := NewWithOptions(model, Options{UnionFind: true, CacheSize: -1})
+				ufDec, err := NewWithOptions(model, Options{UnionFind: true})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -303,11 +307,11 @@ func FuzzUFvsBlossom(f *testing.F) {
 			probs[i] = 0.005 + 0.3*rng.Float64()
 		}
 		model := chainModel(numDet, probs)
-		ufDec, err := NewWithOptions(model, Options{UnionFind: true, CacheSize: -1})
+		ufDec, err := NewWithOptions(model, Options{UnionFind: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		slow, err := NewWithOptions(model, Options{ForceSlowPath: true})
+		ref, err := New(model)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -329,9 +333,9 @@ func FuzzUFvsBlossom(f *testing.F) {
 				defects = append(defects, base, base+1)
 			}
 			got, gotErr := ufDec.Decode(defects)
-			want, wantErr := slow.Decode(defects)
+			want, wantErr := ref.decodeBlossom(defects, nil)
 			if (gotErr != nil) != (wantErr != nil) {
-				t.Fatalf("isolated pairs %v: uf err=%v slow err=%v", defects, gotErr, wantErr)
+				t.Fatalf("isolated pairs %v: uf err=%v reference err=%v", defects, gotErr, wantErr)
 			}
 			if gotErr == nil && got != want {
 				t.Fatalf("isolated pairs %v: uf %b != mwpm %b", defects, got, want)
@@ -340,14 +344,18 @@ func FuzzUFvsBlossom(f *testing.F) {
 
 		// Random regime: arbitrary defect sets. UF may legally pick a
 		// heavier correction, but it must (a) succeed exactly when blossom
-		// does and (b) never beat the true minimum weight.
+		// does and (b) never beat the true minimum weight. decodeMiss skips
+		// the syndrome cache, so s.ufs always holds this set's correction.
 		s := ufDec.NewScratch()
 		for trial := 0; trial < 20; trial++ {
 			defects := randomDefects(rng, numDet, 8)
-			got, gotErr := ufDec.DecodeWithScratch(defects, s)
-			want, wantErr := slow.Decode(defects)
+			if len(defects) == 0 {
+				continue
+			}
+			_, _, gotErr := ufDec.decodeMiss(defects, s)
+			_, wantErr := ref.decodeBlossom(defects, nil)
 			if (gotErr != nil) != (wantErr != nil) {
-				t.Fatalf("defects %v: uf err=%v slow err=%v", defects, gotErr, wantErr)
+				t.Fatalf("defects %v: uf err=%v reference err=%v", defects, gotErr, wantErr)
 			}
 			if gotErr != nil {
 				continue
@@ -366,8 +374,6 @@ func FuzzUFvsBlossom(f *testing.F) {
 					}
 				}
 			}
-			_ = got
-			_ = want
 		}
 	})
 }
@@ -375,13 +381,14 @@ func FuzzUFvsBlossom(f *testing.F) {
 func TestUFDecodeZeroAlloc(t *testing.T) {
 	// The union-find hot loop must be allocation-free at steady state:
 	// warm one scratch through a k>=3 batch, then assert zero allocs/shot.
-	// Cache off so every decode exercises the uf path, not the map.
+	// decodeMiss skips the syndrome cache, so every pass exercises the uf
+	// path, not the map.
 	c := noise.Uniform(0.05).MustApply(repetitionMemory(7, 7))
 	model, err := dem.FromCircuit(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := NewWithOptions(model, Options{UnionFind: true, CacheSize: -1})
+	dec, err := NewWithOptions(model, Options{UnionFind: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,14 +398,19 @@ func TestUFDecodeZeroAlloc(t *testing.T) {
 	}
 	batch := sampler.Sample(400)
 	s := dec.NewScratch()
-	if _, err := dec.DecodeRangeScratch(batch, 0, batch.Shots, s); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := dec.DecodeRangeScratch(batch, 0, batch.Shots, s); err != nil {
-			t.Fatal(err)
+	pass := func() {
+		for shot := 0; shot < batch.Shots; shot++ {
+			s.defects = batch.AppendShotDetectors(s.defects[:0], shot)
+			if len(s.defects) == 0 {
+				continue
+			}
+			if _, _, err := dec.decodeMiss(s.defects, s); err != nil {
+				t.Fatal(err)
+			}
 		}
-	})
+	}
+	pass()
+	allocs := testing.AllocsPerRun(20, pass)
 	if allocs != 0 {
 		t.Fatalf("uf decode path allocates %.1f/batch at steady state; want 0", allocs)
 	}

@@ -328,6 +328,13 @@ func Run(ctx context.Context, cfg Config, fn ChunkFunc) (Result, error) {
 			}
 		}
 	}
+	if firstErr == nil && !halted && chunks < nChunks {
+		// Workers stop on a canceled context and close the results channel,
+		// and the collector's select may take the closed channel before
+		// ctx.Done(): the run was still cut short by the cancellation.
+		firstErr = ctx.Err()
+		reason = StopCanceled
+	}
 	res := Result{Tally: merged, Chunks: chunks, Reason: reason, Elapsed: time.Since(start)}
 	if reg != nil {
 		reg.Counter(fmt.Sprintf("mc_stop_total{reason=%q}", reason.String())).Inc()

@@ -188,6 +188,33 @@ func TestCancellationPromptNoLeak(t *testing.T) {
 	}
 }
 
+func TestCancelDuringSlowMergeReportsCancellation(t *testing.T) {
+	// One worker cancels during chunk 1, then stops on ctx.Err() and closes
+	// the results channel while the collector sleeps in Progress. The
+	// collector may then see the closed channel before ctx.Done(); Run must
+	// still report the cancellation, not a partial tally with a nil error.
+	for run := 0; run < 200; run++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		cfg := Config{
+			Shots: 64 * 64, ChunkShots: 64, Workers: 1, Seed: 1,
+			Progress: func(Progress) { time.Sleep(200 * time.Microsecond) },
+		}
+		res, err := Run(ctx, cfg, func(chunk int, _ *rand.Rand, shots int) (Tally, error) {
+			if chunk == 1 {
+				cancel()
+			}
+			return Tally{Shots: shots}, nil
+		})
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("run %d: err = %v after %d of 64 chunks, want context.Canceled", run, err, res.Chunks)
+		}
+		if res.Reason != StopCanceled {
+			t.Fatalf("run %d: reason = %v, want canceled", run, res.Reason)
+		}
+	}
+}
+
 func TestChunkErrorPropagates(t *testing.T) {
 	boom := fmt.Errorf("decode exploded")
 	res, err := Run(context.Background(), Config{Shots: 4096, ChunkShots: 64, Workers: 2, Seed: 1},

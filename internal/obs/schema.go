@@ -8,6 +8,6 @@ package obs
 // History:
 //
 //	1 — first versioned schema: synthesis reports, threshold curve
-//	    documents, BENCH_decode comparisons and run manifests all gained
-//	    a schema_version field in the observability PR.
+//	    documents, the decoder benchmark's comparisons (since retired)
+//	    and run manifests all gained a schema_version field.
 const SchemaVersion = 1

@@ -127,31 +127,12 @@ func AblationDecoderPeeling(cfg Config) (AblationResult, error) {
 	return res, err
 }
 
-// AblationDecoderFastPath checks that the sparse-syndrome fast path is a
-// pure optimization: distance-5 heavy-square logical error rates with the
-// fast path and with the forced slow path must be *equal* (the two decoders
-// are bit-identical by construction; a nonzero gap here is a bug, not a
-// trade-off).
-func AblationDecoderFastPath(cfg Config) (AblationResult, error) {
-	cfg = cfg.withDefaults()
-	res := AblationResult{Name: "decoder fast path", Unit: "logical error rate @ p=0.002 (must match)"}
-	base, abl, err := decoderAblation(cfg, decoder.Options{ForceSlowPath: true})
-	res.Baseline, res.Ablated = base.Logical, abl.Logical
-	if err != nil {
-		return res, err
-	}
-	if base != abl {
-		return res, fmt.Errorf("paper: fast path diverged from slow path: %.6g vs %.6g", res.Baseline, res.Ablated)
-	}
-	return res, nil
-}
-
 // AblationDecoderUnionFind measures the almost-linear union-find decoder
 // against the exact blossom on the k>=3 tail: distance-5 heavy-square
-// logical error rates at p=0.002. Unlike the fast-path ablation this is a
-// bounded-accuracy check, not an equality: union-find corrections are valid
-// but may exceed the minimum weight, so the two rates must agree within
-// their z=3 Wilson intervals rather than bit-for-bit.
+// logical error rates at p=0.002. This is a bounded-accuracy check, not an
+// equality: union-find corrections are valid but may exceed the minimum
+// weight, so the two rates must agree within their z=3 Wilson intervals
+// rather than bit-for-bit.
 func AblationDecoderUnionFind(cfg Config) (AblationResult, error) {
 	cfg = cfg.withDefaults()
 	res := AblationResult{Name: "decoder union-find (k>=3)", Unit: "logical error rate @ p=0.002 (Wilson z=3)"}
@@ -193,13 +174,9 @@ func Ablations(cfg Config) ([]AblationResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	fast, err := AblationDecoderFastPath(cfg)
-	if err != nil {
-		return nil, err
-	}
 	ufres, err := AblationDecoderUnionFind(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return []AblationResult{tree, hook, peel, fast, ufres}, nil
+	return []AblationResult{tree, hook, peel, ufres}, nil
 }

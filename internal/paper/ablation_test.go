@@ -47,20 +47,6 @@ func TestAblationDecoderPeeling(t *testing.T) {
 	}
 }
 
-func TestAblationDecoderFastPath(t *testing.T) {
-	if testing.Short() {
-		t.Skip("Monte Carlo in short mode")
-	}
-	res, err := AblationDecoderFastPath(Config{Shots: 4000, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("%v", res)
-	if res.Baseline != res.Ablated {
-		t.Errorf("fast path must be a pure optimization: %v", res)
-	}
-}
-
 func TestAblationDecoderUnionFind(t *testing.T) {
 	if testing.Short() {
 		t.Skip("Monte Carlo in short mode")

@@ -204,10 +204,58 @@ type compiled struct {
 	key     string
 }
 
+// Request size limits. compile rejects a request over any of them before it
+// builds a device, a defect set or a layout. They sit well above every
+// request the repository sends: tilings up to 12x14, distance 5, four sweep
+// points, two patches, and 50 000 000-shot jobs that run until cancelled.
+const (
+	maxTilingSide  = 64
+	maxDistance    = 25
+	maxShots       = 1 << 30
+	maxRounds      = 256
+	maxSweepPoints = 64
+	maxPatches     = 16
+)
+
+// checkLimits rejects a request whose sizes exceed the limits above.
+func (req Request) checkLimits() error {
+	type limit struct {
+		what   string
+		v, max int
+	}
+	limits := []limit{
+		{"tiling width", req.Device.Width, maxTilingSide},
+		{"tiling height", req.Device.Height, maxTilingSide},
+		{"distance", req.Distance, maxDistance},
+		{"shots", req.Run.Shots, maxShots},
+		{"rounds", req.Run.Rounds, maxRounds},
+		{"sweep points", len(req.Ps), maxSweepPoints},
+	}
+	if l := req.Layout; l != nil {
+		limits = append(limits,
+			limit{"patches", len(l.Patches), maxPatches},
+			limit{"pre rounds", l.PreRounds, maxRounds},
+			limit{"merge rounds", l.MergeRounds, maxRounds},
+			limit{"post rounds", l.PostRounds, maxRounds})
+		for _, p := range l.Patches {
+			limits = append(limits, limit{"patch distance", p.Distance, maxDistance})
+		}
+	}
+	for _, l := range limits {
+		if l.v > l.max {
+			return fmt.Errorf("%w: %s %d exceeds the limit of %d", surfstitch.ErrInvalidConfig, l.what, l.v, l.max)
+		}
+	}
+	return nil
+}
+
 // compile validates req for the given job kind and resolves every wire
 // field into engine types. All failures wrap the facade's typed taxonomy
 // (ErrInvalidConfig / ErrBadDefect), which statusFor maps to HTTP 400.
 func compile(kind string, req Request) (*compiled, error) {
+	if err := req.checkLimits(); err != nil {
+		return nil, err
+	}
 	dev, err := req.Device.build()
 	if err != nil {
 		return nil, err

@@ -1,7 +1,9 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -58,6 +60,20 @@ func TestCompileDefects(t *testing.T) {
 	}
 }
 
+// surgeryRequest turns an estimate request into a valid two-patch ZZ
+// surgery request, then applies mutate to its layout.
+func surgeryRequest(mutate func(*LayoutSpecWire)) func(*Request) {
+	return func(r *Request) {
+		r.Distance, r.P = 0, 0
+		r.Device = DeviceSpec{Arch: "square", Width: 8, Height: 10}
+		r.Layout = &LayoutSpecWire{
+			Patches: []PatchSpecWire{{Name: "a", Distance: 3}, {Name: "b", Row: 1, Distance: 3}},
+			Ops:     []SurgeryOpWire{{A: 0, B: 1, Joint: "zz"}},
+		}
+		mutate(r.Layout)
+	}
+}
+
 func TestCompileRejections(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -83,6 +99,24 @@ func TestCompileRejections(t *testing.T) {
 		{"bad defect generator", KindEstimate, func(r *Request) {
 			r.Defects = &DefectSpec{Generator: "gamma-ray", Density: 0.1}
 		}},
+		// Oversized requests fail before anything is built.
+		{"1000x1000 tiling", KindEstimate, func(r *Request) { r.Device.Width, r.Device.Height = 1000, 1000 }},
+		{"distance too large", KindEstimate, func(r *Request) { r.Distance = 1001 }},
+		{"too many shots", KindEstimate, func(r *Request) { r.Run.Shots = 1 << 40 }},
+		{"too many rounds", KindEstimate, func(r *Request) { r.Run.Rounds = 100_000 }},
+		{"too many sweep points", KindCurve, func(r *Request) {
+			r.P, r.Ps = 0, make([]float64, 1000)
+			for i := range r.Ps {
+				r.Ps[i] = float64(i+1) / 2000
+			}
+		}},
+		{"too many patches", KindSurgery, surgeryRequest(func(l *LayoutSpecWire) {
+			for i := 2; i < 100; i++ {
+				l.Patches = append(l.Patches, PatchSpecWire{Row: i, Distance: 3})
+			}
+		})},
+		{"patch distance too large", KindSurgery, surgeryRequest(func(l *LayoutSpecWire) { l.Patches[1].Distance = 1001 })},
+		{"too many merge rounds", KindSurgery, surgeryRequest(func(l *LayoutSpecWire) { l.MergeRounds = 100_000 })},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -97,6 +131,47 @@ func TestCompileRejections(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzCompileRequest decodes arbitrary bytes the way the submit handler
+// does and compiles them as every job kind: compile must never panic, and
+// every error it returns must map to 400.
+func FuzzCompileRequest(f *testing.F) {
+	for _, body := range []map[string]any{
+		squareReq(nil),
+		squareReq(map[string]any{"p": 0.002, "run": map[string]any{"shots": 400, "seed": 7}}),
+		slowEstimate(),
+		curveReq(),
+		surgeryReq(nil),
+		surgeryReq(map[string]any{"p": 0.002, "run": map[string]any{"shots": 256, "max_errors": 10, "seed": 5}}),
+		squareReq(map[string]any{
+			"p":           0.001,
+			"defects":     map[string]any{"generator": "random", "density": 0.2, "seed": 5},
+			"calibration": map[string]any{"preset": "median", "seed": 3},
+			"options":     map[string]any{"mode": "four"},
+		}),
+		{"device": map[string]any{"preset": "guadalupe"}, "distance": 3},
+		{"device": map[string]any{"arch": "square", "width": 1000, "height": 1000}, "distance": 3},
+	} {
+		blob, err := json.Marshal(body)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(blob)
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var req Request
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&req); err != nil {
+			return // the handler answers these 400 bad_request before compile
+		}
+		for _, kind := range []string{KindSynthesize, KindEstimate, KindCurve, KindSurgery} {
+			if _, err := compile(kind, req); err != nil && statusFor(err) != http.StatusBadRequest {
+				t.Fatalf("compile(%s, %s) = %v: status %d, want 400", kind, body, err, statusFor(err))
+			}
+		}
+	})
 }
 
 func TestStatusForTaxonomy(t *testing.T) {

@@ -38,7 +38,7 @@ func TestStreamingPointMatchesWholeShotWithinWilson(t *testing.T) {
 	// window of 2 measurably degrades the rate at this p — that loss is
 	// physical, not a bug, and the decoder-level tests pin it too).
 	scfg := base
-	scfg.Decoder = decoder.Options{UnionFind: true, CacheSize: -1}
+	scfg.Decoder = decoder.Options{UnionFind: true}
 	scfg.Stream = &decoder.StreamConfig{Window: 3, Commit: 1}
 	streamed, err := EstimatePoint(prov, 0.02, scfg)
 	if err != nil {
@@ -61,7 +61,7 @@ func TestStreamingDeterministicAcrossWorkers(t *testing.T) {
 	for i, workers := range []int{1, 4} {
 		cfg := Config{
 			Shots: 1280, Seed: 13, Workers: workers, ChunkShots: 256, NoIdle: true,
-			Decoder: decoder.Options{UnionFind: true, CacheSize: -1},
+			Decoder: decoder.Options{UnionFind: true},
 			Stream:  &decoder.StreamConfig{Window: 2, Commit: 1},
 		}
 		got, err := EstimatePoint(prov, 0.015, cfg)
@@ -94,7 +94,7 @@ func TestUFAndStreamCountersReachRegistry(t *testing.T) {
 	prov := streamInput(t, 3)
 	cfg := Config{
 		Shots: 1280, Seed: 3, ChunkShots: 256, NoIdle: true, Registry: reg,
-		Decoder: decoder.Options{UnionFind: true, CacheSize: -1},
+		Decoder: decoder.Options{UnionFind: true},
 		Stream:  &decoder.StreamConfig{Window: 2, Commit: 1},
 	}
 	// p=0.03 guarantees multi-defect windows, so the union-find counter
@@ -126,7 +126,7 @@ func TestUFAndStreamCountersReachRegistry(t *testing.T) {
 	reg2 := obs.NewRegistry()
 	cfg2 := Config{
 		Shots: 1280, Seed: 3, ChunkShots: 256, NoIdle: true, Registry: reg2,
-		Decoder: decoder.Options{UnionFind: true, CacheSize: -1},
+		Decoder: decoder.Options{UnionFind: true},
 	}
 	if _, err := EstimatePoint(prov, 0.03, cfg2); err != nil {
 		t.Fatal(err)

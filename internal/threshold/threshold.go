@@ -96,7 +96,10 @@ type Config struct {
 	Stream *decoder.StreamConfig
 }
 
-func (c Config) withDefaults() Config {
+// WithDefaults returns c with every zero field resolved to the value the
+// estimators run with: 2000 shots, the paper's idle rate (zero under
+// NoIdle), the fixed default seed and NumCPU workers. It is idempotent.
+func (c Config) WithDefaults() Config {
 	if c.Shots == 0 {
 		c.Shots = 2000
 	}
@@ -138,7 +141,7 @@ func EstimatePoint(in Input, p float64, cfg Config) (Point, error) {
 // engine, each chunk with its own frame sampler pass and splitmix64-derived
 // RNG stream.
 func EstimatePointContext(ctx context.Context, in Input, p float64, cfg Config) (Point, error) {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	ctx, span := obs.StartSpan(ctx, "threshold.point")
 	span.SetAttr("p", p)
 	defer span.End()
@@ -339,7 +342,7 @@ func EstimateCurveContext(ctx context.Context, label string, distance int, in In
 	if len(ps) == 0 {
 		return curve, nil
 	}
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	pointConc := cfg.Workers
 	if pointConc > len(ps) {
 		pointConc = len(ps)

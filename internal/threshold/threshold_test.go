@@ -82,17 +82,17 @@ func TestEstimatePointZeroNoise(t *testing.T) {
 }
 
 func TestIdleErrorZeroStillMeansDefault(t *testing.T) {
-	cfg := Config{}.withDefaults()
+	cfg := Config{}.WithDefaults()
 	if cfg.IdleError == 0 {
 		t.Fatal("zero IdleError should fall back to the paper default")
 	}
-	off := Config{NoIdle: true}.withDefaults()
+	off := Config{NoIdle: true}.WithDefaults()
 	if off.IdleError != 0 {
 		t.Fatalf("NoIdle config has IdleError = %g, want 0", off.IdleError)
 	}
-	// withDefaults must be idempotent: curve estimation re-applies it.
-	if again := off.withDefaults(); again.IdleError != 0 {
-		t.Fatal("NoIdle lost on second withDefaults")
+	// WithDefaults must be idempotent: curve estimation re-applies it.
+	if again := off.WithDefaults(); again.IdleError != 0 {
+		t.Fatal("NoIdle lost on second WithDefaults")
 	}
 }
 
