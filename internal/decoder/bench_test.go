@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"surfstitch/internal/circuit"
@@ -66,28 +67,34 @@ func squareBatch(b *testing.B, d int, p float64) (*dem.Model, []int, *frame.Batc
 	return model, mem.DetectorRound, batch
 }
 
-// mergedBatch samples the distance-d lattice-surgery circuit of two square
-// patches joined by a vertical ZZ merge, whose merged detector graph spans
-// both patches and the seam.
-func mergedBatch(b *testing.B, d int) (*dem.Model, *frame.Batch) {
-	b.Helper()
+// mergedCircuit builds the distance-d lattice-surgery circuit of two square
+// patches joined by a vertical ZZ merge at benchP, whose merged detector
+// graph spans both patches and the seam.
+func mergedCircuit(tb testing.TB, d int) *circuit.Circuit {
+	tb.Helper()
 	spec := surgery.Spec{
 		Patches: []surgery.PatchSpec{{Name: "a", Distance: d}, {Name: "b", Row: 1, Distance: d}},
 		Ops:     []surgery.Op{{A: 0, B: 1, Joint: surgery.JointZZ}},
 	}
 	pl, err := surgery.Pack(context.Background(), device.Square(4*d, 5*d-1), spec, synth.Options{})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	e, err := surgery.NewExperiment(pl, surgery.Options{SkipVerify: true})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	c, err := e.Noisy(noise.Uniform(benchP))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	return sampleBatch(b, c, int64(2000+d))
+	return c
+}
+
+// mergedBatch samples the merged circuit of mergedCircuit.
+func mergedBatch(b *testing.B, d int) (*dem.Model, *frame.Batch) {
+	b.Helper()
+	return sampleBatch(b, mergedCircuit(b, d), int64(2000+d))
 }
 
 // defectSets extracts the defect set of every shot with at least minK
@@ -186,6 +193,39 @@ func BenchmarkUnionFindK3(b *testing.B) {
 func BenchmarkUnionFindMerged(b *testing.B) {
 	model, batch := mergedBatch(b, 5)
 	benchRows(b, "d=5", model, defectSets(batch, 0), ufRows)
+}
+
+// BenchmarkRows times every shortest-path row of a freshly compiled decoder
+// for the heavy-hexagon d=5 memory over 15 rounds at benchP, on one reused
+// scratch: the work a verify pass or the first shots of a point do before
+// decoding reaches steady state.
+func BenchmarkRows(b *testing.B) {
+	_, mem := fittedMemory(b, device.KindHeavyHexagon, 5, 15)
+	c, err := mem.Noisy(noise.Uniform(benchP))
+	if err != nil {
+		b.Fatal(err)
+	}
+	model, err := dem.FromCircuit(c)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dec, err := New(model)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := dec.NewScratch()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		dec.rows = make([]atomic.Pointer[pathRow], len(dec.rows))
+		b.StartTimer()
+		for src := range dec.rows {
+			dec.row(src, s)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(dec.rows)), "ns/row")
 }
 
 // BenchmarkStream times sliding-window streaming decode — a 3-round window

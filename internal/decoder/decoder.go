@@ -12,7 +12,6 @@
 package decoder
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"sort"
@@ -43,10 +42,15 @@ type Decoder struct {
 	// boundary is the virtual node index (== numDet).
 	boundary int
 
-	// adjacency of the matching graph: adj[u] lists (v, weight, obs), in a
-	// deterministic (sorted-edge) order so that every decoder compiled from
-	// the same model makes identical shortest-path tie-breaks.
-	adj [][]halfEdge
+	// The matching graph in CSR form: node u's half-edges are entries
+	// off[u] to off[u+1]-1 of to (the far node), w (the log-likelihood
+	// weight) and obs (the observable mask). Each node lists its neighbours
+	// in ascending order, so every decoder compiled from the same model
+	// makes identical shortest-path tie-breaks.
+	off []int32
+	to  []int32
+	w   []float64
+	obs []uint64
 
 	opts Options
 
@@ -58,7 +62,7 @@ type Decoder struct {
 	cache *synCache
 
 	// ufg is the lazily compiled union-find decoding graph: a pure function
-	// of the immutable adjacency, CAS-published exactly like rows, so every
+	// of the immutable CSR graph, CAS-published exactly like rows, so every
 	// caller observes the same instance.
 	ufg atomic.Pointer[uf.Graph]
 
@@ -73,12 +77,6 @@ type Decoder struct {
 type pathRow struct {
 	dist []float64
 	mask []uint64
-}
-
-type halfEdge struct {
-	to     int
-	weight float64
-	obs    uint64
 }
 
 // Options tunes decoder compilation.
@@ -208,13 +206,17 @@ func NewWithOptions(model *dem.Model, opts Options) (*Decoder, error) {
 		// the first component.
 		chainDecompose(mech, d.boundary, addEdge)
 	}
-	// Build the adjacency in sorted edge order: map iteration order would
+	// Lay the graph out in sorted edge order: map iteration order would
 	// otherwise vary between decoder instances, and equal-weight shortest
 	// paths would tie-break differently — breaking the bit-identity
-	// contract between separately compiled decoders.
+	// contract between separately compiled decoders. Filling each node's
+	// half-edges in (u, v) key order lists its neighbours in ascending
+	// order.
 	keys := make([]key, 0, len(probs))
-	for k := range probs {
-		keys = append(keys, k)
+	for k, p := range probs {
+		if p > 0 {
+			keys = append(keys, k)
+		}
 	}
 	sort.Slice(keys, func(i, j int) bool {
 		if keys[i].u != keys[j].u {
@@ -222,18 +224,29 @@ func NewWithOptions(model *dem.Model, opts Options) (*Decoder, error) {
 		}
 		return keys[i].v < keys[j].v
 	})
-	d.adj = make([][]halfEdge, n)
+	d.off = make([]int32, n+1)
+	for _, k := range keys {
+		d.off[k.u+1]++
+		d.off[k.v+1]++
+	}
+	for u := 0; u < n; u++ {
+		d.off[u+1] += d.off[u]
+	}
+	d.to = make([]int32, 2*len(keys))
+	d.w = make([]float64, 2*len(keys))
+	d.obs = make([]uint64, 2*len(keys))
+	next := append([]int32(nil), d.off[:n]...)
 	for _, k := range keys {
 		p := probs[k]
-		if p <= 0 {
-			continue
-		}
 		if p > 0.5 {
 			p = 0.5 // a more-likely-than-not error saturates at weight 0
 		}
 		w := math.Log((1 - p) / p)
-		d.adj[k.u] = append(d.adj[k.u], halfEdge{to: k.v, weight: w, obs: masks[k]})
-		d.adj[k.v] = append(d.adj[k.v], halfEdge{to: k.u, weight: w, obs: masks[k]})
+		eu, ev := next[k.u], next[k.v]
+		next[k.u]++
+		next[k.v]++
+		d.to[eu], d.w[eu], d.obs[eu] = int32(k.v), w, masks[k]
+		d.to[ev], d.w[ev], d.obs[ev] = int32(k.u), w, masks[k]
 	}
 	d.opts = opts
 	d.rows = make([]atomic.Pointer[pathRow], n)
@@ -299,65 +312,111 @@ func peelDecompose(dets []int, boundary int, edgeExists func(u, v int) bool) (co
 // row returns the shortest-path row from src, computing it on first use and
 // publishing it through an atomic pointer. Reads are lock-free; concurrent
 // first uses may both run Dijkstra, but the row is a pure function of the
-// immutable adjacency, so the CAS loser's result is identical to the
-// winner's and results stay bit-identical at any worker count.
-func (d *Decoder) row(src int) *pathRow {
+// immutable graph, so the CAS loser's result is identical to the winner's
+// and results stay bit-identical at any worker count. With a scratch, the
+// Dijkstra queue reuses its buffer, so a new row allocates only itself;
+// without one, the queue starts at one slot per node, about its peak
+// length on the synthesized graphs.
+func (d *Decoder) row(src int, s *Scratch) *pathRow {
 	if r := d.rows[src].Load(); r != nil {
 		return r
 	}
-	dist, mask := d.dijkstra(src)
-	r := &pathRow{dist: dist, mask: mask}
+	var q rowHeap
+	if s != nil {
+		q = s.heap
+	} else {
+		q = make(rowHeap, 0, len(d.rows))
+	}
+	r := d.dijkstra(src, &q)
+	if s != nil {
+		s.heap = q
+	}
 	if !d.rows[src].CompareAndSwap(nil, r) {
 		return d.rows[src].Load()
 	}
 	return r
 }
 
-type pqItem struct {
-	node int
+// heapItem is one Dijkstra queue entry: a node and the distance it was
+// pushed with.
+type heapItem struct {
+	node int32
 	dist float64
 }
 
-type pq []pqItem
+// rowHeap is a binary min-heap on distance with lazy deletion. push and
+// pop are container/heap's Push and Pop with up and down copied verbatim,
+// so equal-distance entries pop in exactly the order they did on
+// container/heap. That order is part of the tie-break contract: the first
+// strict relaxation of a node fixes its path mask, so a heap that pops
+// ties in another order (an indexed decrease-key heap, say) can change
+// masks and with them seeded outputs.
+type rowHeap []heapItem
 
-func (p pq) Len() int            { return len(p) }
-func (p pq) Less(i, j int) bool  { return p[i].dist < p[j].dist }
-func (p pq) Swap(i, j int)       { p[i], p[j] = p[j], p[i] }
-func (p *pq) Push(x interface{}) { *p = append(*p, x.(pqItem)) }
-func (p *pq) Pop() interface{} {
-	old := *p
-	it := old[len(old)-1]
-	*p = old[:len(old)-1]
-	return it
+func (h *rowHeap) push(it heapItem) {
+	q := append(*h, it)
+	for j := len(q) - 1; j > 0; {
+		i := (j - 1) / 2
+		if !(q[j].dist < q[i].dist) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		j = i
+	}
+	*h = q
 }
 
-func (d *Decoder) dijkstra(src int) ([]float64, []uint64) {
+func (h *rowHeap) pop() heapItem {
+	q := *h
+	n := len(q) - 1
+	q[0], q[n] = q[n], q[0]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && q[j2].dist < q[j].dist {
+			j = j2
+		}
+		if !(q[j].dist < q[i].dist) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		i = j
+	}
+	*h = q[:n]
+	return q[n]
+}
+
+// dijkstra computes src's shortest-path row on the queue buffer q. A node
+// is pushed only on a strict improvement and every weight is >= 0, so an
+// entry whose distance exceeds its node's is stale and the first entry
+// popped for a node settles it.
+func (d *Decoder) dijkstra(src int, q *rowHeap) *pathRow {
 	n := d.numDet + 1
-	dist := make([]float64, n)
-	mask := make([]uint64, n)
-	done := make([]bool, n)
+	r := &pathRow{dist: make([]float64, n), mask: make([]uint64, n)}
+	dist, mask := r.dist, r.mask
 	for i := range dist {
 		dist[i] = math.Inf(1)
 	}
 	dist[src] = 0
-	q := &pq{{node: src}}
-	for q.Len() > 0 {
-		it := heap.Pop(q).(pqItem)
+	*q = append((*q)[:0], heapItem{node: int32(src)})
+	for len(*q) > 0 {
+		it := q.pop()
 		u := it.node
-		if done[u] {
+		if it.dist > dist[u] {
 			continue
 		}
-		done[u] = true
-		for _, e := range d.adj[u] {
-			nd := dist[u] + e.weight
-			if nd < dist[e.to] {
-				dist[e.to] = nd
-				mask[e.to] = mask[u] ^ e.obs
-				heap.Push(q, pqItem{node: e.to, dist: nd})
+		for e := d.off[u]; e < d.off[u+1]; e++ {
+			v := d.to[e]
+			if nd := dist[u] + d.w[e]; nd < dist[v] {
+				dist[v] = nd
+				mask[v] = mask[u] ^ d.obs[e]
+				q.push(heapItem{node: v, dist: nd})
 			}
 		}
 	}
-	return dist, mask
+	return r
 }
 
 // NumDetectors returns the number of detectors the decoder expects.
@@ -426,13 +485,13 @@ func (d *Decoder) decode(defects []int, s *Scratch) (uint64, bool, decodePath, e
 func (d *Decoder) decodeMiss(defects []int, s *Scratch) (uint64, decodePath, error) {
 	switch len(defects) {
 	case 1:
-		r := d.row(defects[0])
+		r := d.row(defects[0], s)
 		if quantWeight(r.dist[d.boundary]) < 0 {
 			return 0, pathK1, fmt.Errorf("decoder: defects unmatchable: no path joins defect %d to the boundary", defects[0])
 		}
 		return r.mask[d.boundary], pathK1, nil
 	case 2:
-		if obs, ok, err := d.decodePair(defects); ok {
+		if obs, ok, err := d.decodePair(defects, s); ok {
 			return obs, pathK2, err
 		}
 		// Exact quantized tie between the pair path and the two boundary
@@ -457,18 +516,18 @@ func (d *Decoder) decodeMiss(defects []int, s *Scratch) (uint64, decodePath, err
 }
 
 // ufGraph returns the union-find decoding graph, compiling it on first use
-// from the same adjacency the matching paths use and publishing it through
+// from the same CSR graph the matching paths use and publishing it through
 // an atomic pointer (same discipline as row: the graph is a pure function
-// of the immutable adjacency, so a CAS loser's result is identical).
+// of the immutable CSR graph, so a CAS loser's result is identical).
 func (d *Decoder) ufGraph() (*uf.Graph, error) {
 	if g := d.ufg.Load(); g != nil {
 		return g, nil
 	}
-	var edges []uf.Edge
-	for u := range d.adj {
-		for _, e := range d.adj[u] {
-			if e.to > u { // adjacency stores both half-edges; take each once
-				edges = append(edges, uf.Edge{U: u, V: e.to, W: quantWeight(e.weight), Obs: e.obs})
+	edges := make([]uf.Edge, 0, len(d.to)/2)
+	for u := 0; u <= d.numDet; u++ {
+		for e := d.off[u]; e < d.off[u+1]; e++ {
+			if v := int(d.to[e]); v > u { // both half-edges are stored; take each once
+				edges = append(edges, uf.Edge{U: u, V: v, W: quantWeight(d.w[e]), Obs: d.obs[e]})
 			}
 		}
 	}
@@ -510,9 +569,9 @@ func (d *Decoder) decodeUF(defects []int, s *Scratch) (uint64, bool) {
 // to the boundary (the only two perfect matchings of decodeBlossom's
 // 4-node graph). ok=false reports an exact tie, which the caller resolves
 // with the blossom.
-func (d *Decoder) decodePair(defects []int) (obs uint64, ok bool, err error) {
+func (d *Decoder) decodePair(defects []int, s *Scratch) (obs uint64, ok bool, err error) {
 	a, b := defects[0], defects[1]
-	ra, rb := d.row(a), d.row(b)
+	ra, rb := d.row(a, s), d.row(b, s)
 	wp := quantWeight(ra.dist[b])
 	wa := quantWeight(ra.dist[d.boundary])
 	wb := quantWeight(rb.dist[d.boundary])
@@ -552,7 +611,7 @@ func (d *Decoder) decodeBlossom(defects []int, s *Scratch) (uint64, error) {
 		edges = make([]matching.Edge, 0, k*k)
 	}
 	for i := 0; i < k; i++ {
-		ri := d.row(defects[i])
+		ri := d.row(defects[i], s)
 		for j := i + 1; j < k; j++ {
 			if w := quantWeight(ri.dist[defects[j]]); w >= 0 {
 				edges = append(edges, matching.Edge{U: i, V: j, W: w})
@@ -579,9 +638,9 @@ func (d *Decoder) decodeBlossom(defects []int, s *Scratch) (uint64, error) {
 		m := mate[i]
 		switch {
 		case m == k+i: // matched to the boundary
-			obs ^= d.row(defects[i]).mask[d.boundary]
+			obs ^= d.row(defects[i], s).mask[d.boundary]
 		case m < k && m > i: // defect-defect pair, counted once
-			obs ^= d.row(defects[i]).mask[defects[m]]
+			obs ^= d.row(defects[i], s).mask[defects[m]]
 		}
 	}
 	return obs, nil

@@ -6,9 +6,10 @@ import (
 )
 
 // Scratch is a per-goroutine arena for the decode hot loop: the defect
-// list, matching edge buffer, syndrome-cache key buffer, the blossom
-// matcher's internal state and (when union-find is enabled) the uf arena,
-// all reused across shots so that steady-state decoding does not allocate.
+// list, matching edge buffer, syndrome-cache key buffer, the Dijkstra queue
+// of new shortest-path rows, the blossom matcher's internal state and (when
+// union-find is enabled) the uf arena, all reused across shots so that
+// steady-state decoding does not allocate.
 // DecodeBatch creates one per call; callers that decode many ranges (the
 // Monte-Carlo chunk loop) should hold one per worker and use
 // DecodeRangeScratch. A Scratch must never be shared between concurrent
@@ -17,6 +18,7 @@ type Scratch struct {
 	defects []int
 	edges   []matching.Edge
 	key     []byte
+	heap    rowHeap
 	match   matching.Scratch
 	ufs     *uf.Scratch // lazily sized to the uf graph on first k>=3 decode
 }

@@ -277,7 +277,7 @@ func mwpmWeight(t *testing.T, d *Decoder, defects []int) (int64, bool) {
 	k := len(defects)
 	edges := make([]matching.Edge, 0, k*k)
 	for i := 0; i < k; i++ {
-		ri := d.row(defects[i])
+		ri := d.row(defects[i], nil)
 		for j := i + 1; j < k; j++ {
 			if w := quantWeight(ri.dist[defects[j]]); w >= 0 {
 				edges = append(edges, matching.Edge{U: i, V: j, W: w})

@@ -1,6 +1,7 @@
 package dem
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -95,7 +96,7 @@ func TestDepolarize2SignatureSplit(t *testing.T) {
 	}
 	bySig := map[string]float64{}
 	for _, mech := range m.Mechanisms {
-		bySig[signatureKey(mech.Detectors, mech.Obs)] = mech.Prob
+		bySig[fmt.Sprint(mech.Detectors, mech.Obs)] = mech.Prob
 	}
 	// Each signature class contains 4 of the 15 components: e.g. {0} comes
 	// from Xa{I,Z}b combinations: XI, XZ, YI, YZ.
@@ -216,7 +217,7 @@ func TestDeterministicOutput(t *testing.T) {
 	}
 	for i := range m1.Mechanisms {
 		a, bm := m1.Mechanisms[i], m2.Mechanisms[i]
-		if signatureKey(a.Detectors, a.Obs) != signatureKey(bm.Detectors, bm.Obs) || a.Prob != bm.Prob {
+		if fmt.Sprint(a.Detectors, a.Obs) != fmt.Sprint(bm.Detectors, bm.Obs) || a.Prob != bm.Prob {
 			t.Fatal("model ordering or probabilities not deterministic")
 		}
 	}

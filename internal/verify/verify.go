@@ -305,12 +305,13 @@ func (r *Report) checkCircuit(c *circuit.Circuit, g circ.Coupler, idle []int, ga
 	r.DistanceGraphlike = cert.Graphlike
 	r.DistanceUndecomposable = cert.Undecomposable
 
+	scratch := dec.NewScratch()
 	for _, mech := range model.Mechanisms {
 		if len(mech.Detectors) == 0 {
 			continue
 		}
 		r.SingleFaultTotal++
-		pred, err := dec.Decode(mech.Detectors)
+		pred, err := dec.DecodeWithScratch(mech.Detectors, scratch)
 		if err != nil || pred != mech.Obs {
 			r.SingleFaultMisdecoded++
 			r.MisdecodedProb += mech.Prob
