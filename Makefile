@@ -13,13 +13,14 @@ vet:
 	$(GO) vet ./...
 
 # The race pass keeps the concurrent Monte-Carlo engine (internal/mc) and
-# everything layered on it honest; internal/mc and internal/threshold are
-# the packages that actually spawn workers.
+# everything layered on it honest; internal/mc, internal/threshold and
+# internal/verify (its single-fault sweep) are the packages that actually
+# spawn workers.
 race:
 	$(GO) test -race ./...
 
 race-core:
-	$(GO) test -race ./internal/mc/... ./internal/threshold/... ./internal/decoder/... ./internal/uf/... ./internal/frame/... ./internal/server/... ./internal/obs/... ./internal/device/... ./internal/noise/... ./internal/surgery/...
+	$(GO) test -race ./internal/mc/... ./internal/threshold/... ./internal/decoder/... ./internal/uf/... ./internal/frame/... ./internal/server/... ./internal/obs/... ./internal/device/... ./internal/noise/... ./internal/surgery/... ./internal/verify/...
 
 # surflint: the domain-aware analyzer suite (rngstream, errdrop,
 # paniccheck, ctxleak, atomicmix). Lock copies are left to go vet's

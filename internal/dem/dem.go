@@ -3,11 +3,33 @@
 //
 // Every noise channel in the circuit is decomposed into its elementary Pauli
 // mechanisms (e.g. a two-qubit depolarizing channel contributes 15 equally
-// likely mechanisms). Each mechanism is injected into its own lane of a
-// deterministic Pauli frame propagation; the flipped detectors and logical
-// observables of each lane form the mechanism's signature. Mechanisms with
-// identical signatures are merged by XOR-combining their probabilities,
-// yielding the weighted error model the MWPM decoder is built from.
+// likely mechanisms), one lane each. A lane's signature is the set of
+// detectors and logical observables it flips. Mechanisms with identical
+// signatures are merged by XOR-combining their probabilities, yielding the
+// weighted error model the MWPM decoder is built from.
+//
+// Signatures come from one backward walk over the circuit, the method of
+// stim's error analyzer (Gidney, "Stim: a fast stabilizer circuit
+// simulator", Quantum 5, 497, 2021). Each qubit carries an X row and a Z
+// row: the detectors and observables that an X (or Z) component on that
+// qubit flips from the current time point on. Walking the moments from last
+// to first, a moment's lanes read the rows first, because noise acts after
+// the moment's gates: a lane's signature is the XOR of its components'
+// rows. Then the gates are undone. Each backward rule is the transpose of a
+// forward frame rule in internal/frame, where out(r) is the detectors and
+// observables that list measurement record r:
+//
+//	op       forward (frame)          backward (dem)
+//	R q      x=z=0                    sx=sz=0
+//	M q → r  rec r = x; z=0           sx ^= out(r); sz=0
+//	H        swap x, z                swap sx, sz
+//	S        z ^= x                   sx ^= sz
+//	CX c,t   x_t ^= x_c; z_c ^= z_t   sx_c ^= sx_t; sz_t ^= sz_c
+//	CZ a,b   z_a ^= x_b; z_b ^= x_a   sx_b ^= sz_a; sx_a ^= sz_b
+//	X Y Z    none                     none
+//
+// The two rule sets must change together; a differential test against the
+// frame sampler on random circuits that use every gate keeps them in step.
 package dem
 
 import (
@@ -19,7 +41,6 @@ import (
 	"strconv"
 
 	"surfstitch/internal/circuit"
-	"surfstitch/internal/frame"
 )
 
 // Mechanism is a group of physical errors with identical consequences: the
@@ -50,7 +71,23 @@ func FromCircuit(c *circuit.Circuit) (*Model, error) {
 
 	// First pass: one lane per elementary Pauli mechanism, in circuit
 	// order, so lane l is injs[l] and moment mi's lanes end at ends[mi].
-	var injs []injection
+	// A counting pass sizes injs.
+	lanes := 0
+	for _, m := range c.Moments {
+		for _, nz := range m.Noise {
+			switch nz.Op {
+			case circuit.OpXError, circuit.OpZError:
+				lanes += len(nz.Qubits)
+			case circuit.OpDepolarize1:
+				lanes += 3 * len(nz.Qubits)
+			case circuit.OpDepolarize2:
+				lanes += 15 * len(nz.Qubits) / 2
+			default:
+				return nil, fmt.Errorf("dem: unsupported noise op %v", nz.Op)
+			}
+		}
+	}
+	injs := make([]injection, 0, lanes)
 	ends := make([]int, len(c.Moments))
 	for mi, m := range c.Moments {
 		for _, nz := range m.Noise {
@@ -83,73 +120,154 @@ func FromCircuit(c *circuit.Circuit) (*Model, error) {
 						injs = append(injs, inj)
 					}
 				}
-			default:
-				return nil, fmt.Errorf("dem: unsupported noise op %v", nz.Op)
 			}
 		}
 		ends[mi] = len(injs)
 	}
 
 	model := &Model{NumDetectors: len(c.Detectors), NumObservables: len(c.Observables)}
-	lanes := len(injs)
 	if lanes == 0 {
 		return model, nil
 	}
 
-	// Second pass: propagate all mechanisms in parallel.
-	words := (lanes + 63) / 64
-	prop := frame.NewPropagator(c.NumQubits, words)
-	lane := 0
-	for mi, m := range c.Moments {
-		for _, g := range m.Gates {
-			prop.ApplyGate(g)
+	// Record index: out(r), the outputs that list record r, is the
+	// detectors recDets[recAt[r]:recAt[r+1]] and the observable mask
+	// recObs[r]. A record a set lists twice is XORed in twice, so it
+	// cancels as it does in frame.Combine.
+	records := c.NumMeasurements()
+	recAt := make([]int, records+1)
+	for _, set := range c.Detectors {
+		for _, r := range set {
+			recAt[r+1]++
 		}
-		for ; lane < ends[mi]; lane++ {
-			inj := &injs[lane]
+	}
+	for r := 0; r < records; r++ {
+		recAt[r+1] += recAt[r]
+	}
+	recDets := make([]int, recAt[records])
+	next := append([]int(nil), recAt[:records]...)
+	for d, set := range c.Detectors {
+		for _, r := range set {
+			recDets[next[r]] = d
+			next[r]++
+		}
+	}
+	recObs := make([]uint64, records)
+	for o, set := range c.Observables {
+		for _, r := range set {
+			recObs[r] ^= 1 << uint(o)
+		}
+	}
+
+	// Sensitivity rows, an X and a Z row per qubit: words-1 words of
+	// detector bits, then one word of observable bits.
+	words := (model.NumDetectors+63)/64 + 1
+	obsWord := words - 1
+	state := make([]uint64, 2*c.NumQubits*words)
+	sx := make([][]uint64, c.NumQubits)
+	sz := make([][]uint64, c.NumQubits)
+	for q := range sx {
+		lo := 2 * q * words
+		sx[q] = state[lo : lo+words : lo+words]
+		sz[q] = state[lo+words : lo+2*words : lo+2*words]
+	}
+
+	// Second pass: walk the moments backward. Lanes are visited in
+	// reverse, so lane l's detectors land at dets[bound[l+1]:bound[l]].
+	// dets holds two detectors a lane, the most a graphlike model flips,
+	// before it must grow.
+	dets := make([]int, 0, 2*lanes)
+	bound := make([]int, lanes+1)
+	obs := make([]uint64, lanes)
+	zero := make([]uint64, words)
+	rec := records
+	for mi := len(c.Moments) - 1; mi >= 0; mi-- {
+		first := 0
+		if mi > 0 {
+			first = ends[mi-1]
+		}
+		for l := ends[mi] - 1; l >= first; l-- {
+			// The signature XORs at most four component rows; absent
+			// components read the zero row.
+			inj := &injs[l]
+			rows := [4][]uint64{zero, zero, zero, zero}
+			n := 0
 			for _, q := range inj.x[:inj.nx] {
-				prop.InjectX(q, lane)
+				rows[n] = sx[q]
+				n++
 			}
 			for _, q := range inj.z[:inj.nz] {
-				prop.InjectZ(q, lane)
+				rows[n] = sz[q]
+				n++
+			}
+			r0, r1, r2, r3 := rows[0][:words], rows[1][:words], rows[2][:words], rows[3][:words]
+			for w := 0; w < obsWord; w++ {
+				for word := r0[w] ^ r1[w] ^ r2[w] ^ r3[w]; word != 0; word &= word - 1 {
+					dets = append(dets, w*64+bits.TrailingZeros64(word))
+				}
+			}
+			obs[l] = r0[obsWord] ^ r1[obsWord] ^ r2[obsWord] ^ r3[obsWord]
+			bound[l] = len(dets)
+		}
+		// The moment's gates act on disjoint qubits, so they are undone in
+		// any order; reverse order numbers the measurement records.
+		gates := c.Moments[mi].Gates
+		for gi := len(gates) - 1; gi >= 0; gi-- {
+			g := gates[gi]
+			switch g.Op {
+			case circuit.OpR:
+				for _, q := range g.Qubits {
+					clear(sx[q])
+					clear(sz[q])
+				}
+			case circuit.OpM:
+				for i := len(g.Qubits) - 1; i >= 0; i-- {
+					q := g.Qubits[i]
+					rec--
+					for _, d := range recDets[recAt[rec]:recAt[rec+1]] {
+						sx[q][d/64] ^= 1 << uint(d%64)
+					}
+					sx[q][obsWord] ^= recObs[rec]
+					clear(sz[q])
+				}
+			case circuit.OpH:
+				for _, q := range g.Qubits {
+					sx[q], sz[q] = sz[q], sx[q]
+				}
+			case circuit.OpS:
+				for _, q := range g.Qubits {
+					xorInto(sx[q], sz[q])
+				}
+			case circuit.OpCX:
+				for i := 0; i < len(g.Qubits); i += 2 {
+					ctl, tgt := g.Qubits[i], g.Qubits[i+1]
+					xorInto(sx[ctl], sx[tgt])
+					xorInto(sz[tgt], sz[ctl])
+				}
+			case circuit.OpCZ:
+				for i := 0; i < len(g.Qubits); i += 2 {
+					a, b := g.Qubits[i], g.Qubits[i+1]
+					xorInto(sx[b], sz[a])
+					xorInto(sx[a], sz[b])
+				}
+			case circuit.OpX, circuit.OpY, circuit.OpZ:
+				// Paulis commute with the frame up to signs.
+			default:
+				return nil, fmt.Errorf("dem: unsupported gate op %v", g.Op)
 			}
 		}
 	}
-	records := prop.Records()
-	detPlanes := frame.Combine(c.Detectors, records, words)
-	obsPlanes := frame.Combine(c.Observables, records, words)
 
-	// Collect per-lane signatures. Every lane's detectors sit in one flat
-	// array, lane l's at dets[start[l]:start[l+1]] in index order, laid out
-	// after a counting pass.
-	start := make([]int, lanes+1)
-	for _, plane := range detPlanes {
-		forEachLane(plane, lanes, func(l int) { start[l+1]++ })
-	}
-	for l := 0; l < lanes; l++ {
-		start[l+1] += start[l]
-	}
-	dets := make([]int, start[lanes])
-	next := append([]int(nil), start[:lanes]...)
-	for d, plane := range detPlanes {
-		forEachLane(plane, lanes, func(l int) {
-			dets[next[l]] = d
-			next[l]++
-		})
-	}
-	obs := make([]uint64, lanes)
-	for o, plane := range obsPlanes {
-		forEachLane(plane, lanes, func(l int) { obs[l] |= 1 << uint(o) })
-	}
-
-	// Group by signature, XOR-combining probabilities: the merged mechanism
-	// fires when an odd number of its members fire. The map key is the
-	// signature's fixed-width encoding — 4 bytes per detector, then the
-	// 8-byte observable mask — so distinct signatures never collide and a
-	// lookup does not allocate.
+	// Group by signature in forward lane order, XOR-combining
+	// probabilities: the merged mechanism fires when an odd number of its
+	// members fire. Lane order fixes the order of every float64 merge. The
+	// map key is the signature's fixed-width encoding — 4 bytes per
+	// detector, then the 8-byte observable mask — so distinct signatures
+	// never collide and a lookup does not allocate.
 	index := map[string]int{}
 	var key []byte
 	for l := 0; l < lanes; l++ {
-		ds := dets[start[l]:start[l+1]:start[l+1]]
+		ds := dets[bound[l+1]:bound[l]:bound[l]]
 		if len(ds) == 0 && obs[l] == 0 {
 			continue // harmless error
 		}
@@ -193,17 +311,9 @@ func (inj *injection) on(q int, x, z bool) {
 	}
 }
 
-// forEachLane calls f with every lane below lanes whose bit is set in the
-// plane, in increasing order.
-func forEachLane(plane []uint64, lanes int, f func(lane int)) {
-	for w, word := range plane {
-		for word != 0 {
-			lane := w*64 + bits.TrailingZeros64(word)
-			word &= word - 1
-			if lane < lanes {
-				f(lane)
-			}
-		}
+func xorInto(dst, src []uint64) {
+	for w := range dst {
+		dst[w] ^= src[w]
 	}
 }
 

@@ -8,7 +8,21 @@
 // The frame semantics are standard: deterministic gates conjugate the frame,
 // resets clear it, measurements record the X component of the frame on the
 // measured qubit (which is exactly the set of shots whose outcome differs
-// from the reference).
+// from the reference). applyGate holds the forward rules:
+//
+//	op       forward
+//	R q      x=z=0
+//	M q → r  rec r = x; z=0
+//	H        swap x, z
+//	S        z ^= x
+//	CX c,t   x_t ^= x_c; z_c ^= z_t
+//	CZ a,b   z_a ^= x_b; z_b ^= x_a
+//	X Y Z    none
+//
+// internal/dem extracts detector error models by walking the circuit
+// backward with the transposes of these rules, so a change to one rule set
+// must be mirrored in the other; a differential test in internal/dem
+// checks the two against each other on random circuits.
 package frame
 
 import (
@@ -219,43 +233,6 @@ func newState(numQubits, words, shots int, rng *rand.Rand) *state {
 	}
 	return &state{x: x, z: z, words: words, shots: shots, rng: rng}
 }
-
-// Propagator exposes deterministic frame propagation for detector error
-// model extraction: callers apply gates in circuit order and inject Pauli
-// components into chosen "shot" lanes (one lane per error mechanism); the
-// measurement records then reveal which outcomes each mechanism flips.
-type Propagator struct {
-	st *state
-}
-
-// NewPropagator returns a propagator over numQubits qubits with the given
-// number of 64-lane words.
-func NewPropagator(numQubits, words int) *Propagator {
-	return &Propagator{st: newState(numQubits, words, words*64, nil)}
-}
-
-// ApplyGate propagates frames through one gate instruction. Noise ops are
-// rejected: mechanisms are injected explicitly with InjectX/InjectZ.
-func (p *Propagator) ApplyGate(g circuit.Instruction) {
-	if g.Op.IsNoise() {
-		//surflint:ignore paniccheck op kind mix-ups are programmer error; the propagator sits in the dem enumeration hot path
-		panic("frame: Propagator.ApplyGate given a noise channel")
-	}
-	p.st.applyGate(g)
-}
-
-// InjectX XORs an X component on qubit q into the given lane.
-func (p *Propagator) InjectX(q, lane int) {
-	p.st.x[q][lane/64] ^= 1 << uint(lane%64)
-}
-
-// InjectZ XORs a Z component on qubit q into the given lane.
-func (p *Propagator) InjectZ(q, lane int) {
-	p.st.z[q][lane/64] ^= 1 << uint(lane%64)
-}
-
-// Records returns the measurement flip planes accumulated so far.
-func (p *Propagator) Records() [][]uint64 { return p.st.records }
 
 func (st *state) applyGate(g circuit.Instruction) {
 	switch g.Op {

@@ -15,7 +15,9 @@ package verify
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
+	"sync"
 
 	"surfstitch/internal/circuit"
 	"surfstitch/internal/code"
@@ -305,14 +307,37 @@ func (r *Report) checkCircuit(c *circuit.Circuit, g circ.Coupler, idle []int, ga
 	r.DistanceGraphlike = cert.Graphlike
 	r.DistanceUndecomposable = cert.Undecomposable
 
-	scratch := dec.NewScratch()
-	for _, mech := range model.Mechanisms {
+	// The sweep decodes contiguous shards of the mechanisms concurrently,
+	// one scratch per worker; the decoder publishes its rows atomically and
+	// its cache never changes an answer. The tally runs afterwards in
+	// mechanism order, so the probability sum is the same on any number of
+	// workers.
+	mechs := model.Mechanisms
+	wrong := make([]bool, len(mechs))
+	workers := runtime.GOMAXPROCS(0)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		lo, hi := w*len(mechs)/workers, (w+1)*len(mechs)/workers
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			scratch := dec.NewScratch()
+			for i := lo; i < hi; i++ {
+				if len(mechs[i].Detectors) == 0 {
+					continue
+				}
+				pred, err := dec.DecodeWithScratch(mechs[i].Detectors, scratch)
+				wrong[i] = err != nil || pred != mechs[i].Obs
+			}
+		}()
+	}
+	wg.Wait()
+	for i, mech := range mechs {
 		if len(mech.Detectors) == 0 {
 			continue
 		}
 		r.SingleFaultTotal++
-		pred, err := dec.DecodeWithScratch(mech.Detectors, scratch)
-		if err != nil || pred != mech.Obs {
+		if wrong[i] {
 			r.SingleFaultMisdecoded++
 			r.MisdecodedProb += mech.Prob
 		}
