@@ -23,11 +23,11 @@ race-core:
 	$(GO) test -race ./internal/mc/... ./internal/threshold/... ./internal/decoder/... ./internal/uf/... ./internal/frame/... ./internal/server/... ./internal/obs/... ./internal/device/... ./internal/noise/... ./internal/surgery/... ./internal/verify/...
 
 # surflint: the domain-aware analyzer suite (rngstream, errdrop,
-# paniccheck, ctxleak, atomicmix). Lock copies are left to go vet's
-# copylocks (make vet), and go 1.22 loop variables are per-iteration, so
-# neither needs an analyzer. Zero findings is the merge bar; suppressions
-# require an inline justification. Run `go run ./cmd/surflint -list` for
-# the full contracts.
+# paniccheck, atomicmix). Lock copies and leaked context cancel funcs are
+# left to go vet's copylocks and lostcancel (make vet), and go 1.22 loop
+# variables are per-iteration, so none of them needs an analyzer. Zero
+# findings is the merge bar; suppressions require an inline justification.
+# Run `go run ./cmd/surflint -list` for the full contracts.
 lint: build
 	$(GO) run ./cmd/surflint ./...
 

@@ -1,8 +1,9 @@
-// Command surflint runs the surfstitch static-analysis suite: five
+// Command surflint runs the surfstitch static-analysis suite: four
 // domain-aware Go analyzers that machine-check the invariants the
 // synthesis pipeline depends on (reproducible RNG stream derivation, no
-// dropped first-party errors, no copied locks, explicit loop-variable
-// binding in fan-outs, no panics on library APIs).
+// dropped first-party errors, no panics on library APIs, no struct field
+// accessed both atomically and plainly). Checks go vet already performs —
+// copied locks, leaked context cancel funcs — are left to go vet.
 //
 // Usage:
 //

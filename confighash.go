@@ -27,14 +27,34 @@ import (
 // form is frozen by golden-value tests: changing it invalidates every
 // content-addressed cache, so it must only ever be extended deliberately.
 func ConfigHash(kind string, dev *Device, distance int, opts Options, ps []float64, cfg RunConfig) (string, error) {
+	return contentHash(kind, dev, opts, ps, cfg, func() (map[string]any, error) {
+		if distance < 2 {
+			return nil, fmt.Errorf("%w: code distance %d must be at least 2", ErrInvalidConfig, distance)
+		}
+		return map[string]any{
+			"kind":     kind,
+			"distance": distance,
+			"run":      canonicalRun(cfg, distance),
+		}, nil
+	})
+}
+
+// contentHash is the canonical envelope both content hashes share. It
+// checks the kind and the device, lets subject validate the request and
+// describe it (its kind, the code it addresses and the run), checks the run
+// config and the error rates, adds the canonical device, synthesis options
+// and error rates, and returns the SHA-256 (lowercase hex) of the
+// document's JSON encoding.
+func contentHash(kind string, dev *Device, opts Options, ps []float64, cfg RunConfig, subject func() (map[string]any, error)) (string, error) {
 	if kind == "" {
 		return "", fmt.Errorf("%w: empty hash kind", ErrInvalidConfig)
 	}
 	if dev == nil {
 		return "", fmt.Errorf("%w: nil device", ErrInvalidConfig)
 	}
-	if distance < 2 {
-		return "", fmt.Errorf("%w: code distance %d must be at least 2", ErrInvalidConfig, distance)
+	doc, err := subject()
+	if err != nil {
+		return "", err
 	}
 	if err := cfg.Validate(); err != nil {
 		return "", err
@@ -44,20 +64,15 @@ func ConfigHash(kind string, dev *Device, distance int, opts Options, ps []float
 			return "", fmt.Errorf("%w: physical error rate %g outside (0, 1)", ErrInvalidConfig, p)
 		}
 	}
-	doc := map[string]any{
-		"kind":     kind,
-		"device":   canonicalDevice(dev),
-		"distance": distance,
-		"options": map[string]any{
-			"mode":            opts.Mode.String(),
-			"no_refine":       opts.NoRefine,
-			"star_only_trees": opts.StarOnlyTrees,
-			"co_optimize":     opts.CoOptimize,
-			"degrade":         opts.Degrade,
-		},
-		"ps":  append([]float64{}, ps...),
-		"run": canonicalRun(cfg, distance),
+	doc["device"] = canonicalDevice(dev)
+	doc["options"] = map[string]any{
+		"mode":            opts.Mode.String(),
+		"no_refine":       opts.NoRefine,
+		"star_only_trees": opts.StarOnlyTrees,
+		"co_optimize":     opts.CoOptimize,
+		"degrade":         opts.Degrade,
 	}
+	doc["ps"] = append([]float64{}, ps...)
 	// json.Marshal sorts map keys, so the encoding is canonical: one byte
 	// stream per semantic request, independent of Go struct layout.
 	blob, err := json.Marshal(doc)
@@ -183,57 +198,30 @@ func canonicalRun(cfg RunConfig, distance int) map[string]any {
 // derive from the spec. The kind is namespaced under "surgery/" so layout
 // requests can never collide with single-patch ones.
 func LayoutConfigHash(kind string, dev *Device, layout LayoutSpec, opts Options, ps []float64, cfg RunConfig) (string, error) {
-	if kind == "" {
-		return "", fmt.Errorf("%w: empty hash kind", ErrInvalidConfig)
-	}
-	if dev == nil {
-		return "", fmt.Errorf("%w: nil device", ErrInvalidConfig)
-	}
-	norm, err := layout.Normalized()
-	if err != nil {
-		return "", err
-	}
-	if err := cfg.Validate(); err != nil {
-		return "", err
-	}
-	for _, p := range ps {
-		if p <= 0 || p >= 1 {
-			return "", fmt.Errorf("%w: physical error rate %g outside (0, 1)", ErrInvalidConfig, p)
+	return contentHash(kind, dev, opts, ps, cfg, func() (map[string]any, error) {
+		norm, err := layout.Normalized()
+		if err != nil {
+			return nil, err
 		}
-	}
-	patches := make([][3]int, len(norm.Patches))
-	for i, pt := range norm.Patches {
-		patches[i] = [3]int{pt.Row, pt.Col, pt.Distance}
-	}
-	ops := make([][3]any, len(norm.Ops))
-	for i, op := range norm.Ops {
-		ops[i] = [3]any{op.A, op.B, op.Joint.String()}
-	}
-	run := canonicalRun(cfg, norm.Distance())
-	delete(run, "rounds") // the layout's round counts are authoritative
-	delete(run, "basis")  // per-patch bases follow the surgery ops
-	doc := map[string]any{
-		"kind":   "surgery/" + kind,
-		"device": canonicalDevice(dev),
-		"layout": map[string]any{
-			"patches": patches,
-			"ops":     ops,
-			"rounds":  [3]int{norm.PreRounds, norm.MergeRounds, norm.PostRounds},
-		},
-		"options": map[string]any{
-			"mode":            opts.Mode.String(),
-			"no_refine":       opts.NoRefine,
-			"star_only_trees": opts.StarOnlyTrees,
-			"co_optimize":     opts.CoOptimize,
-			"degrade":         opts.Degrade,
-		},
-		"ps":  append([]float64{}, ps...),
-		"run": run,
-	}
-	blob, err := json.Marshal(doc)
-	if err != nil {
-		return "", fmt.Errorf("%w: canonicalizing request: %v", ErrInvalidConfig, err)
-	}
-	sum := sha256.Sum256(blob)
-	return hex.EncodeToString(sum[:]), nil
+		patches := make([][3]int, len(norm.Patches))
+		for i, pt := range norm.Patches {
+			patches[i] = [3]int{pt.Row, pt.Col, pt.Distance}
+		}
+		ops := make([][3]any, len(norm.Ops))
+		for i, op := range norm.Ops {
+			ops[i] = [3]any{op.A, op.B, op.Joint.String()}
+		}
+		run := canonicalRun(cfg, norm.Distance())
+		delete(run, "rounds") // the layout's round counts are authoritative
+		delete(run, "basis")  // per-patch bases follow the surgery ops
+		return map[string]any{
+			"kind": "surgery/" + kind,
+			"layout": map[string]any{
+				"patches": patches,
+				"ops":     ops,
+				"rounds":  [3]int{norm.PreRounds, norm.MergeRounds, norm.PostRounds},
+			},
+			"run": run,
+		}, nil
+	})
 }

@@ -8,6 +8,7 @@ package baseline
 import (
 	"context"
 	"fmt"
+	"sort"
 
 	"surfstitch/internal/circuit"
 	"surfstitch/internal/code"
@@ -166,8 +167,8 @@ func (hh *HeavyHexCode) MemoryCircuit(rounds int) (*circuit.Circuit, error) {
 	for _, row := range hh.xGauges {
 		xAll = append(xAll, row...)
 	}
-	xSets := packCompatible(xAll)
-	zSets := packCompatible(zAll)
+	xSets := synth.FirstFit(xAll)
+	zSets := synth.FirstFit(zAll)
 
 	// rowRecs[r] accumulates, per round, the record indices of row pair r.
 	rowRecs := make([][][]int, d-1)
@@ -237,40 +238,6 @@ func (hh *HeavyHexCode) IdleQubits() []int {
 	for q := range set {
 		out = append(out, q)
 	}
-	sortInts(out)
+	sort.Ints(out)
 	return out
-}
-
-// packCompatible greedily groups plans into compatible sets (first fit).
-func packCompatible(plans []*flagbridge.Plan) [][]*flagbridge.Plan {
-	var sets [][]*flagbridge.Plan
-	for _, p := range plans {
-		placed := false
-		for i := range sets {
-			ok := true
-			for _, q := range sets[i] {
-				if !flagbridge.Compatible(q, p) {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				sets[i] = append(sets[i], p)
-				placed = true
-				break
-			}
-		}
-		if !placed {
-			sets = append(sets, []*flagbridge.Plan{p})
-		}
-	}
-	return sets
-}
-
-func sortInts(s []int) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

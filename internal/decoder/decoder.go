@@ -313,24 +313,13 @@ func peelDecompose(dets []int, boundary int, edgeExists func(u, v int) bool) (co
 // publishing it through an atomic pointer. Reads are lock-free; concurrent
 // first uses may both run Dijkstra, but the row is a pure function of the
 // immutable graph, so the CAS loser's result is identical to the winner's
-// and results stay bit-identical at any worker count. With a scratch, the
-// Dijkstra queue reuses its buffer, so a new row allocates only itself;
-// without one, the queue starts at one slot per node, about its peak
-// length on the synthesized graphs.
+// and results stay bit-identical at any worker count. The Dijkstra queue
+// reuses the scratch's buffer, so a new row allocates only itself.
 func (d *Decoder) row(src int, s *Scratch) *pathRow {
 	if r := d.rows[src].Load(); r != nil {
 		return r
 	}
-	var q rowHeap
-	if s != nil {
-		q = s.heap
-	} else {
-		q = make(rowHeap, 0, len(d.rows))
-	}
-	r := d.dijkstra(src, &q)
-	if s != nil {
-		s.heap = q
-	}
+	r := d.dijkstra(src, &s.heap)
 	if !d.rows[src].CompareAndSwap(nil, r) {
 		return d.rows[src].Load()
 	}
@@ -433,11 +422,11 @@ func quantWeight(w float64) int64 {
 
 // Decode predicts the observable flips for one shot's defect set (the list
 // of flipped detector indices). It returns an error when a defect cannot be
-// matched (disconnected matching graph). Hot loops should prefer
-// DecodeWithScratch or DecodeRangeScratch, which reuse buffers across shots.
+// matched (disconnected matching graph). It decodes on a fresh scratch;
+// hot loops should prefer DecodeWithScratch or DecodeRangeScratch, which
+// reuse one across shots.
 func (d *Decoder) Decode(defects []int) (uint64, error) {
-	obs, _, _, err := d.decode(defects, nil)
-	return obs, err
+	return d.DecodeWithScratch(defects, d.NewScratch())
 }
 
 // decodePath labels which decode route answered a miss, for the Stats
@@ -460,22 +449,15 @@ func (d *Decoder) decode(defects []int, s *Scratch) (uint64, bool, decodePath, e
 	if len(defects) == 0 {
 		return 0, false, pathNone, nil
 	}
-	var key []byte
-	if s != nil {
-		s.key = appendSyndromeKey(s.key[:0], defects)
-		key = s.key
-	} else {
-		var buf [64]byte
-		key = appendSyndromeKey(buf[:0], defects)
-	}
-	if obs, ok := d.cache.get(key); ok {
+	s.key = appendSyndromeKey(s.key[:0], defects)
+	if obs, ok := d.cache.get(s.key); ok {
 		return obs, true, pathNone, nil
 	}
 	obs, path, err := d.decodeMiss(defects, s)
 	if err != nil {
 		return 0, false, path, err
 	}
-	d.cache.put(key, obs)
+	d.cache.put(s.key, obs)
 	return obs, false, path, nil
 }
 
@@ -548,16 +530,10 @@ func (d *Decoder) decodeUF(defects []int, s *Scratch) (uint64, bool) {
 	if err != nil {
 		return 0, false
 	}
-	var us *uf.Scratch
-	if s != nil {
-		if s.ufs == nil {
-			s.ufs = g.NewScratch()
-		}
-		us = s.ufs
-	} else {
-		us = g.NewScratch()
+	if s.ufs == nil {
+		s.ufs = g.NewScratch()
 	}
-	obs, err := g.Decode(defects, us)
+	obs, err := g.Decode(defects, s.ufs)
 	if err != nil {
 		return 0, false
 	}
@@ -594,22 +570,17 @@ func (d *Decoder) decodePair(defects []int, s *Scratch) (obs uint64, ok bool, er
 // the fast path reproduces bit for bit, which the differential tests call
 // directly. Nodes 0..k-1 are defects; k..2k-1 are their boundary images,
 // interconnected with zero-weight edges so that any subset of them can
-// pair off among themselves. With a scratch, the edge buffer and matcher
-// state are reused across calls.
+// pair off among themselves. The edge buffer and matcher state are the
+// scratch's, reused across calls.
 func (d *Decoder) decodeBlossom(defects []int, s *Scratch) (uint64, error) {
 	k := len(defects)
 	// Exact capacity: at most k(k-1)/2 defect-pair edges, exactly k(k-1)/2
 	// boundary-image edges, and at most k boundary edges — k*k in total —
 	// so the append loop below never reallocates.
-	var edges []matching.Edge
-	if s != nil {
-		if cap(s.edges) < k*k {
-			s.edges = make([]matching.Edge, 0, k*k)
-		}
-		edges = s.edges[:0]
-	} else {
-		edges = make([]matching.Edge, 0, k*k)
+	if cap(s.edges) < k*k {
+		s.edges = make([]matching.Edge, 0, k*k)
 	}
+	edges := s.edges[:0]
 	for i := 0; i < k; i++ {
 		ri := d.row(defects[i], s)
 		for j := i + 1; j < k; j++ {
@@ -622,14 +593,8 @@ func (d *Decoder) decodeBlossom(defects []int, s *Scratch) (uint64, error) {
 			edges = append(edges, matching.Edge{U: i, V: k + i, W: w})
 		}
 	}
-	var mate []int
-	var err error
-	if s != nil {
-		s.edges = edges
-		mate, err = s.match.MinWeightPerfectMatching(2*k, edges)
-	} else {
-		mate, err = matching.MinWeightPerfectMatching(2*k, edges)
-	}
+	s.edges = edges
+	mate, err := s.match.MinWeightPerfectMatching(2*k, edges)
 	if err != nil {
 		return 0, fmt.Errorf("decoder: defects unmatchable: %w", err)
 	}

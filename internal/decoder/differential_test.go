@@ -58,13 +58,14 @@ func randomDefects(rng *rand.Rand, numDet, maxK int) []int {
 }
 
 // diffDecoders compares a decoder's full path against the blossom-only
-// reference — decodeBlossom on ref, a decoder compiled separately — on one
-// defect set: identical predictions, and errors (unmatchable sets) on both
-// or neither. It returns the reference prediction.
+// reference — decodeBlossom on ref, a decoder compiled separately, with a
+// fresh scratch so no matcher state carries across shots — on one defect
+// set: identical predictions, and errors (unmatchable sets) on both or
+// neither. It returns the reference prediction.
 func diffDecoders(t *testing.T, fast, ref *Decoder, s *Scratch, defects []int) uint64 {
 	t.Helper()
 	got, gotErr := fast.DecodeWithScratch(defects, s)
-	want, wantErr := ref.decodeBlossom(defects, nil)
+	want, wantErr := ref.decodeBlossom(defects, ref.NewScratch())
 	if (gotErr != nil) != (wantErr != nil) {
 		t.Fatalf("defects %v: fast err=%v, reference err=%v", defects, gotErr, wantErr)
 	}
@@ -330,7 +331,7 @@ func TestSyndromeCacheCountersAndBound(t *testing.T) {
 		if len(defects) > 0 {
 			nonEmpty++
 		}
-		want, err := ref.decodeBlossom(defects, nil)
+		want, err := ref.decodeBlossom(defects, ref.NewScratch())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -276,8 +276,9 @@ func mwpmWeight(t *testing.T, d *Decoder, defects []int) (int64, bool) {
 	t.Helper()
 	k := len(defects)
 	edges := make([]matching.Edge, 0, k*k)
+	s := d.NewScratch()
 	for i := 0; i < k; i++ {
-		ri := d.row(defects[i], nil)
+		ri := d.row(defects[i], s)
 		for j := i + 1; j < k; j++ {
 			if w := quantWeight(ri.dist[defects[j]]); w >= 0 {
 				edges = append(edges, matching.Edge{U: i, V: j, W: w})
@@ -333,7 +334,7 @@ func FuzzUFvsBlossom(f *testing.F) {
 				defects = append(defects, base, base+1)
 			}
 			got, gotErr := ufDec.Decode(defects)
-			want, wantErr := ref.decodeBlossom(defects, nil)
+			want, wantErr := ref.decodeBlossom(defects, ref.NewScratch())
 			if (gotErr != nil) != (wantErr != nil) {
 				t.Fatalf("isolated pairs %v: uf err=%v reference err=%v", defects, gotErr, wantErr)
 			}
@@ -353,7 +354,7 @@ func FuzzUFvsBlossom(f *testing.F) {
 				continue
 			}
 			_, _, gotErr := ufDec.decodeMiss(defects, s)
-			_, wantErr := ref.decodeBlossom(defects, nil)
+			_, wantErr := ref.decodeBlossom(defects, ref.NewScratch())
 			if (gotErr != nil) != (wantErr != nil) {
 				t.Fatalf("defects %v: uf err=%v reference err=%v", defects, gotErr, wantErr)
 			}

@@ -1,10 +1,12 @@
-// Package experiment assembles logical-memory experiments from synthesized
-// surface codes: `rounds` rounds of the scheduled stabilizer measurements
+// Package experiment wraps a synthesized surface code as a logical-memory
+// experiment: `rounds` rounds of the scheduled stabilizer measurements
 // followed by a transversal data readout, with detector and observable
 // annotations ready for the sampling/decoding pipeline. This mirrors the
 // paper's evaluation protocol (§5.1): 3d error-detection rounds, error rates
 // measured with respect to Pauli X errors, decoding with measurement signals
-// from bridge qubits (flags).
+// from bridge qubits (flags). A memory is the one-patch, zero-operation case
+// of a lattice-surgery schedule, so the circuit comes from the surgery
+// assembler.
 package experiment
 
 import (
@@ -12,10 +14,9 @@ import (
 
 	"surfstitch/internal/circuit"
 	"surfstitch/internal/code"
-	"surfstitch/internal/flagbridge"
 	"surfstitch/internal/noise"
+	"surfstitch/internal/surgery"
 	"surfstitch/internal/synth"
-	"surfstitch/internal/tableau"
 )
 
 // Basis selects which logical state the memory protects.
@@ -41,9 +42,6 @@ func (b Basis) String() string {
 // Options configures memory-experiment assembly.
 type Options struct {
 	Basis Basis
-	// IncludeOppositeDetectors also annotates the detectors of the opposite
-	// stabilizer type (useful for full-syndrome studies; costs decode time).
-	IncludeOppositeDetectors bool
 	// SkipVerify skips the tableau determinism verification (useful in
 	// benchmarks where the construction is already trusted).
 	SkipVerify bool
@@ -61,127 +59,36 @@ type Memory struct {
 	DetectorRound []int
 }
 
-// NewMemory builds a memory experiment with the given number of rounds.
-// Unless disabled, the construction is verified with the tableau simulator:
-// every detector must be deterministic, which catches scheduling or circuit
-// generation bugs at assembly time.
+// NewMemory builds a memory experiment with the given number of rounds: the
+// synthesis becomes the one patch of a placement with no surgery ops and
+// `rounds` separate rounds, assembled by surgery.Assemble in the protected
+// basis. Unless disabled, the construction is verified with the tableau
+// simulator: every detector must be deterministic, which catches scheduling
+// or circuit generation bugs at assembly time.
 func NewMemory(s *synth.Synthesis, rounds int, opts Options) (*Memory, error) {
 	if rounds < 1 {
 		return nil, fmt.Errorf("experiment: need at least one round, got %d", rounds)
 	}
-	detType := code.StabZ
+	p := &surgery.Placement{
+		Dev: s.Layout.Dev,
+		Spec: surgery.Spec{
+			Patches:   []surgery.PatchSpec{{Distance: s.Layout.Code.Distance()}},
+			PreRounds: rounds,
+		},
+		Patches: []*synth.Synthesis{s},
+	}
+	basis := code.StabZ
 	if opts.Basis == BasisX {
-		detType = code.StabX
+		basis = code.StabX
 	}
-
-	dev := s.Layout.Dev
-	b := circuit.NewBuilder(dev.Len())
-	dataQubits := append([]int(nil), s.Layout.DataQubit...)
-
-	// Logical state preparation.
-	b.Begin().R(dataQubits...)
-	if opts.Basis == BasisX {
-		b.Begin().H(dataQubits...)
-	}
-
-	m := &Memory{Synth: s, Rounds: rounds, Basis: opts.Basis}
-
-	// planIndex locates each stabilizer's plan within the schedule results.
-	stabs := s.Layout.Code.Stabilizers()
-	planOf := map[*flagbridge.Plan]int{}
-	for si, p := range s.Plans {
-		if p != nil { // dropped stabilizers (graceful degradation) have no plan
-			planOf[p] = si
-		}
-	}
-
-	// syndrome[si] holds the record index of stabilizer si per round.
-	syndrome := make([][]int, len(stabs))
-	for r := 0; r < rounds; r++ {
-		for _, set := range s.Schedule {
-			results := flagbridge.AppendSet(b, set)
-			for _, res := range results {
-				si := planOf[res.Plan]
-				syndrome[si] = append(syndrome[si], res.SyndromeRec)
-				// Every flag outcome is deterministic; each becomes its own
-				// single-record detector so the decoder can exploit bridge
-				// qubit signals (the paper's setup).
-				for _, f := range res.FlagRecs {
-					b.Detector(f)
-					m.DetectorRound = append(m.DetectorRound, r)
-				}
-			}
-		}
-		// Syndrome comparison detectors for this round.
-		for si, st := range stabs {
-			include := st.Type == detType || opts.IncludeOppositeDetectors
-			if !include {
-				continue
-			}
-			recs := syndrome[si]
-			if len(recs) == 0 {
-				continue // dropped stabilizer: never measured, no detectors
-			}
-			switch {
-			case r == 0 && st.Type == detType:
-				// First-round outcomes of the protected type are
-				// deterministic given the logical preparation.
-				b.Detector(recs[0])
-				m.DetectorRound = append(m.DetectorRound, 0)
-			case r > 0:
-				b.Detector(recs[r-1], recs[r])
-				m.DetectorRound = append(m.DetectorRound, r)
-			}
-		}
-	}
-
-	// Final transversal data readout in the protected basis.
-	if opts.Basis == BasisX {
-		b.Begin().H(dataQubits...)
-	}
-	b.Begin()
-	finalRecs := b.M(dataQubits...)
-	recOf := make(map[int]int, len(dataQubits)) // data index -> record
-	for i := range dataQubits {
-		recOf[i] = finalRecs[i]
-	}
-
-	// Closing detectors: last syndrome vs the product of the final data
-	// measurements in the stabilizer's support.
-	for si, st := range stabs {
-		if st.Type != detType || len(syndrome[si]) == 0 {
-			continue
-		}
-		set := []int{syndrome[si][rounds-1]}
-		for _, dq := range st.Data {
-			set = append(set, recOf[dq])
-		}
-		b.Detector(set...)
-		m.DetectorRound = append(m.DetectorRound, rounds)
-	}
-
-	// The logical observable.
-	logical := s.Layout.Code.LogicalZ()
-	if opts.Basis == BasisX {
-		logical = s.Layout.Code.LogicalX()
-	}
-	var obs []int
-	for _, dq := range logical.Support() {
-		obs = append(obs, recOf[dq])
-	}
-	b.Observable(obs...)
-
-	c, err := b.Build()
+	e, err := surgery.Assemble(p, []code.StabType{basis}, surgery.Options{SkipVerify: opts.SkipVerify})
 	if err != nil {
 		return nil, fmt.Errorf("experiment: %w", err)
 	}
-	m.Circuit = c
-	if !opts.SkipVerify {
-		if _, _, err := tableau.Reference(c, 3); err != nil {
-			return nil, fmt.Errorf("experiment: memory circuit failed determinism check: %w", err)
-		}
-	}
-	return m, nil
+	return &Memory{
+		Synth: s, Rounds: rounds, Basis: opts.Basis,
+		Circuit: e.Circuit, DetectorRound: e.DetectorRound,
+	}, nil
 }
 
 // Noisy returns the experiment circuit with the given error model applied,

@@ -69,22 +69,6 @@ func TestMemoryXBasis(t *testing.T) {
 	}
 }
 
-func TestMemoryWithOppositeDetectors(t *testing.T) {
-	s := synthOn(t, device.Square(6, 6), 3, synth.ModeFour)
-	plain, err := NewMemory(s, 3, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := NewMemory(s, 3, Options{IncludeOppositeDetectors: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if full.NumDetectors() <= plain.NumDetectors() {
-		t.Errorf("opposite detectors did not add any: %d vs %d",
-			full.NumDetectors(), plain.NumDetectors())
-	}
-}
-
 func TestMemoryRejectsZeroRounds(t *testing.T) {
 	s := synthOn(t, device.Square(6, 6), 3, synth.ModeFour)
 	if _, err := NewMemory(s, 0, Options{}); err == nil {

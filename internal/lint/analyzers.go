@@ -8,7 +8,6 @@ func All() []*analysis.Analyzer {
 		RNGStream,
 		ErrDrop,
 		PanicCheck,
-		CtxLeak,
 		AtomicMix,
 	}
 }

@@ -235,36 +235,10 @@ func synthesizeOn(dev *device.Device, data []int) (*Synthesis, error) {
 			syn.TreeCost += tree.EdgeLen()
 		}
 	}
-	syn.XSets = packCompatible(syn.XPlans)
-	syn.ZSets = packCompatible(syn.ZPlans)
+	syn.XSets = synth.FirstFit(syn.XPlans)
+	syn.ZSets = synth.FirstFit(syn.ZPlans)
 	syn.TreeCost += 40 * (len(syn.XSets) + len(syn.ZSets) - 2)
 	return syn, nil
-}
-
-// packCompatible greedily groups plans into compatible sets (first fit).
-func packCompatible(plans []*flagbridge.Plan) [][]*flagbridge.Plan {
-	var sets [][]*flagbridge.Plan
-	for _, p := range plans {
-		placed := false
-		for i := range sets {
-			ok := true
-			for _, q := range sets[i] {
-				if !flagbridge.Compatible(q, p) {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				sets[i] = append(sets[i], p)
-				placed = true
-				break
-			}
-		}
-		if !placed {
-			sets = append(sets, []*flagbridge.Plan{p})
-		}
-	}
-	return sets
 }
 
 // colorSlots assigns each (stabilizer, data qubit) incidence a slot 0..3

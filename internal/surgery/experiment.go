@@ -5,7 +5,6 @@ import (
 
 	"surfstitch/internal/circuit"
 	"surfstitch/internal/code"
-	"surfstitch/internal/experiment"
 	"surfstitch/internal/flagbridge"
 	"surfstitch/internal/noise"
 	"surfstitch/internal/synth"
@@ -26,7 +25,7 @@ type Options struct {
 //
 // Observables are indexed ops-then-patches: observable oi (oi < len(Ops))
 // is op oi's joint parity; observable len(Ops)+pi is patch pi's logical
-// memory observable (Z̄ for ZZ/solo patches, X̄ for XX patches).
+// memory observable (Z̄ or X̄, following the patch's basis).
 type Experiment struct {
 	Placement *Placement
 	Circuit   *circuit.Circuit
@@ -56,33 +55,33 @@ func basisOf(p *Placement) []code.StabType {
 	return out
 }
 
-// NewExperiment assembles the surgery circuit for a packed placement.
-// Unless disabled, every detector and observable is verified deterministic
-// with the tableau simulator — in particular the joint-parity observables,
-// which must read +1 on the noiseless circuit.
-//
-// A one-patch placement with no ops delegates to experiment.NewMemory so
-// the single-patch circuit is bit-identical to the legacy memory path.
+// NewExperiment assembles the surgery circuit for a packed placement, each
+// patch protecting the basis its op implies (basisOf). Unless disabled,
+// every detector and observable is verified deterministic with the tableau
+// simulator — in particular the joint-parity observables, which must read
+// +1 on the noiseless circuit.
 func NewExperiment(p *Placement, opts Options) (*Experiment, error) {
+	return Assemble(p, basisOf(p), opts)
+}
+
+// Assemble builds the circuit of a placement in which patch pi protects the
+// logical state of basis[pi]: code.StabZ prepares |0>̄, reads out Z̄ and
+// places detectors on the Z-type stabilizers; code.StabX does the same with
+// |+>̄, X̄ and the X-type stabilizers. A one-patch placement with no ops is a
+// logical memory of Spec.TotalRounds() rounds. The patches of an XX op must
+// protect the X basis and those of a ZZ op the Z basis, or the joint parity
+// fails the determinism check.
+func Assemble(p *Placement, basis []code.StabType, opts Options) (*Experiment, error) {
 	spec := p.Spec
 	total := spec.TotalRounds()
 	if total < 1 {
 		return nil, badSpec("zero total rounds")
 	}
-	if len(spec.Patches) == 1 && len(spec.Ops) == 0 {
-		mem, err := experiment.NewMemory(p.Patches[0], total, experiment.Options{SkipVerify: opts.SkipVerify})
-		if err != nil {
-			return nil, err
-		}
-		return &Experiment{
-			Placement: p, Circuit: mem.Circuit,
-			Rounds: mem.Rounds, DetectorRound: mem.DetectorRound,
-		}, nil
+	if len(basis) != len(p.Patches) {
+		return nil, fmt.Errorf("surgery: %d bases for %d patches", len(basis), len(p.Patches))
 	}
 
-	dev := p.Dev
-	b := circuit.NewBuilder(dev.Len())
-	basis := basisOf(p)
+	b := circuit.NewBuilder(p.Dev.Len())
 
 	// Logical preparation: |0…0> everywhere, Hadamard the X-basis patches.
 	var allData, xData []int
@@ -210,8 +209,10 @@ func NewExperiment(p *Placement, opts Options) (*Experiment, error) {
 			}
 		}
 
-		// Syndrome comparison detectors: basis-type stabilizers only, as in
-		// the memory experiment. Patch chains run continuously through the
+		// Syndrome comparison detectors: basis-type stabilizers only. A
+		// chain's first outcome is deterministic given the logical
+		// preparation; a stabilizer dropped by graceful degradation is never
+		// measured and gets none. Patch chains run continuously through the
 		// merge (the merged lattice preserves every basis-type patch
 		// stabilizer), so pair detectors bridge both transitions.
 		for pi, s := range p.Patches {

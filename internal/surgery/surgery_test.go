@@ -8,7 +8,6 @@ import (
 
 	"surfstitch/internal/code"
 	"surfstitch/internal/device"
-	"surfstitch/internal/experiment"
 	"surfstitch/internal/flagbridge"
 	"surfstitch/internal/synth"
 )
@@ -142,8 +141,7 @@ func TestMergeAccounting(t *testing.T) {
 }
 
 // TestSinglePatchDelegation checks the 1-patch/0-op fast path: Pack must
-// produce the legacy synthesis verbatim, and NewExperiment the legacy memory
-// circuit bit for bit.
+// produce the legacy synthesis verbatim.
 func TestSinglePatchDelegation(t *testing.T) {
 	dev := device.HeavySquare(4, 3)
 	ctx := context.Background()
@@ -157,20 +155,6 @@ func TestSinglePatchDelegation(t *testing.T) {
 	}
 	if !reflect.DeepEqual(p.Patches[0].Layout.DataQubit, legacy.Layout.DataQubit) {
 		t.Fatalf("delegated layout differs from legacy Synthesize")
-	}
-	e, err := NewExperiment(p, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mem, err := experiment.NewMemory(legacy, p.Spec.TotalRounds(), experiment.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(e.Circuit, mem.Circuit) {
-		t.Errorf("1-patch surgery circuit differs from legacy memory circuit")
-	}
-	if !reflect.DeepEqual(e.DetectorRound, mem.DetectorRound) {
-		t.Errorf("detector round maps differ")
 	}
 }
 

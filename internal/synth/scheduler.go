@@ -69,25 +69,7 @@ func InitialSchedule(plans []*flagbridge.Plan) Schedule {
 			zs = append(zs, p)
 		}
 	}
-	var sched Schedule
-	for _, group := range [][]*flagbridge.Plan{xs, zs} {
-		var sets [][]*flagbridge.Plan
-		for _, p := range group {
-			placed := false
-			for i := range sets {
-				if setCompatible(sets[i], p) {
-					sets[i] = append(sets[i], p)
-					placed = true
-					break
-				}
-			}
-			if !placed {
-				sets = append(sets, []*flagbridge.Plan{p})
-			}
-		}
-		sched = append(sched, sets...)
-	}
-	return sched
+	return append(FirstFit(xs), FirstFit(zs)...)
 }
 
 // GreedySchedule packs plans into compatible sets largest-circuit-first —
@@ -99,8 +81,15 @@ func GreedySchedule(plans []*flagbridge.Plan) Schedule {
 	sort.SliceStable(ordered, func(i, j int) bool {
 		return ordered[i].TimeSteps() > ordered[j].TimeSteps()
 	})
+	return FirstFit(ordered)
+}
+
+// FirstFit packs plans into compatible sets in the given order: each plan
+// joins the first set whose every member it is compatible with, and opens a
+// new set when none is.
+func FirstFit(plans []*flagbridge.Plan) Schedule {
 	var sets Schedule
-	for _, p := range ordered {
+	for _, p := range plans {
 		placed := false
 		for i := range sets {
 			if setCompatible(sets[i], p) {

@@ -27,7 +27,7 @@ func TestStreamingPointMatchesWholeShotWithinWilson(t *testing.T) {
 	// guaranteed — and asserted — is statistical agreement within Wilson
 	// intervals at matched seeds, plus deterministic streaming counters.
 	prov := streamInput(t, 3)
-	base := Config{Shots: 2560, Seed: 7, ChunkShots: 256, NoIdle: true}
+	base := Config{Shots: 2560, Seed: 7, NoIdle: true}
 
 	whole, err := EstimatePoint(prov, 0.02, base)
 	if err != nil {
@@ -60,7 +60,7 @@ func TestStreamingDeterministicAcrossWorkers(t *testing.T) {
 	var want Point
 	for i, workers := range []int{1, 4} {
 		cfg := Config{
-			Shots: 1280, Seed: 13, Workers: workers, ChunkShots: 256, NoIdle: true,
+			Shots: 4096, Seed: 13, Workers: workers, NoIdle: true,
 			Decoder: decoder.Options{UnionFind: true},
 			Stream:  &decoder.StreamConfig{Window: 2, Commit: 1},
 		}
@@ -93,7 +93,7 @@ func TestUFAndStreamCountersReachRegistry(t *testing.T) {
 	reg := obs.NewRegistry()
 	prov := streamInput(t, 3)
 	cfg := Config{
-		Shots: 1280, Seed: 3, ChunkShots: 256, NoIdle: true, Registry: reg,
+		Shots: 1280, Seed: 3, NoIdle: true, Registry: reg,
 		Decoder: decoder.Options{UnionFind: true},
 		Stream:  &decoder.StreamConfig{Window: 2, Commit: 1},
 	}
@@ -125,7 +125,7 @@ func TestUFAndStreamCountersReachRegistry(t *testing.T) {
 	// Whole-shot union-find mode promotes the same counters.
 	reg2 := obs.NewRegistry()
 	cfg2 := Config{
-		Shots: 1280, Seed: 3, ChunkShots: 256, NoIdle: true, Registry: reg2,
+		Shots: 1280, Seed: 3, NoIdle: true, Registry: reg2,
 		Decoder: decoder.Options{UnionFind: true},
 	}
 	if _, err := EstimatePoint(prov, 0.03, cfg2); err != nil {

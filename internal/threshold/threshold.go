@@ -63,9 +63,6 @@ type Config struct {
 	Seed int64
 	// Workers sizes the Monte-Carlo worker pool; zero means NumCPU.
 	Workers int
-	// ChunkShots overrides the engine's shard size (rounded to a multiple
-	// of 64); zero means the engine default.
-	ChunkShots int
 	// TargetRSE, when positive, stops a point early once the Wilson
 	// interval's relative half-width reaches this value.
 	TargetRSE float64
@@ -170,13 +167,12 @@ func EstimatePointContext(ctx context.Context, in Input, p float64, cfg Config) 
 		return Point{}, fmt.Errorf("threshold: %w", err)
 	}
 	mcCfg := mc.Config{
-		Shots:      cfg.Shots,
-		ChunkShots: cfg.ChunkShots,
-		Workers:    cfg.Workers,
-		Seed:       mc.PointSeed(cfg.Seed, p),
-		TargetRSE:  cfg.TargetRSE,
-		MaxErrors:  cfg.MaxErrors,
-		Registry:   cfg.Registry,
+		Shots:     cfg.Shots,
+		Workers:   cfg.Workers,
+		Seed:      mc.PointSeed(cfg.Seed, p),
+		TargetRSE: cfg.TargetRSE,
+		MaxErrors: cfg.MaxErrors,
+		Registry:  cfg.Registry,
 	}
 	if cfg.Progress != nil {
 		mcCfg.Progress = func(pr mc.Progress) { cfg.Progress(p, pr) }

@@ -207,7 +207,7 @@ func TestCurveDeterministicAcrossWorkers(t *testing.T) {
 	ps := []float64{0.002, 0.008}
 	var want Curve
 	for i, workers := range []int{1, 4, runtime.NumCPU()} {
-		cfg := Config{Shots: 1280, Seed: 42, Workers: workers, ChunkShots: 256}
+		cfg := Config{Shots: 4096, Seed: 42, Workers: workers}
 		got, err := EstimateCurve("det", 3, prov, ps, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -228,7 +228,7 @@ func TestCurveDeterministicAcrossWorkers(t *testing.T) {
 func TestAdaptiveStopHonorsWilsonTarget(t *testing.T) {
 	prov, _ := memoryInput(t, device.Square(6, 6), 3, synth.ModeFour, 2)
 	const target = 0.25
-	cfg := Config{Shots: 200000, Seed: 9, ChunkShots: 256, TargetRSE: target}
+	cfg := Config{Shots: 200000, Seed: 9, TargetRSE: target}
 	pt, err := EstimatePoint(prov, 0.02, cfg)
 	if err != nil {
 		t.Fatal(err)
