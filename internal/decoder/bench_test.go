@@ -39,19 +39,19 @@ var (
 	ufRows   = []benchRow{{name: "uf", opts: Options{UnionFind: true}}, {name: "blossom"}}
 )
 
-// sampleBatch samples benchShots shots of a noisy circuit with a fixed seed
-// and extracts its detector error model.
-func sampleBatch(b *testing.B, c *circuit.Circuit, seed int64) (*dem.Model, *frame.Batch) {
-	b.Helper()
+// sampleBatch samples shots of a noisy circuit with a fixed seed and
+// extracts its detector error model.
+func sampleBatch(tb testing.TB, c *circuit.Circuit, seed int64, shots int) (*dem.Model, *frame.Batch) {
+	tb.Helper()
 	model, err := dem.FromCircuit(c)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	s, err := frame.NewSampler(c, rand.New(rand.NewSource(seed)))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	return model, s.Sample(benchShots)
+	return model, s.Sample(shots)
 }
 
 // squareBatch samples the distance-d square-tiling memory over d rounds at
@@ -63,7 +63,7 @@ func squareBatch(b *testing.B, d int, p float64) (*dem.Model, []int, *frame.Batc
 	if err != nil {
 		b.Fatal(err)
 	}
-	model, batch := sampleBatch(b, c, int64(1000+d))
+	model, batch := sampleBatch(b, c, int64(1000+d), benchShots)
 	return model, mem.DetectorRound, batch
 }
 
@@ -94,7 +94,7 @@ func mergedCircuit(tb testing.TB, d int) *circuit.Circuit {
 // mergedBatch samples the merged circuit of mergedCircuit.
 func mergedBatch(b *testing.B, d int) (*dem.Model, *frame.Batch) {
 	b.Helper()
-	return sampleBatch(b, mergedCircuit(b, d), int64(2000+d))
+	return sampleBatch(b, mergedCircuit(b, d), int64(2000+d), benchShots)
 }
 
 // defectSets extracts the defect set of every shot with at least minK
@@ -138,7 +138,7 @@ func benchDecode(b *testing.B, dec *Decoder, sets [][]int, blossomOnly bool) {
 			var hit bool
 			var err error
 			if blossomOnly {
-				_, err = dec.decodeBlossom(defects, s)
+				_, _, err = dec.decodeBlossom(defects, s)
 			} else {
 				_, hit, _, err = dec.decode(defects, s)
 			}

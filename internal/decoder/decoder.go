@@ -34,7 +34,8 @@ const weightScale = 1024.0
 // syndromes decode in closed form without the blossom matcher, and a
 // bounded syndrome→observable cache short-circuits repeated sparse
 // syndromes. Every prediction is bit-identical to decodeBlossom's, the
-// package's exact reference: blossom over the whole defect set.
+// package's exact reference: minimum-weight perfect matching over the
+// whole defect set, on one node per defect.
 type Decoder struct {
 	numDet int
 	numObs int
@@ -87,7 +88,7 @@ type Options struct {
 	NaiveDecomposition bool
 
 	// UnionFind routes k>=3 defect sets through the almost-linear
-	// union-find decoder (internal/uf) instead of dense blossom matching.
+	// union-find decoder (internal/uf) instead of exact blossom matching.
 	// The k<=2 closed forms still apply. UF corrections are valid but only
 	// approximately minimum-weight; undecodable clusters (odd parity on a
 	// boundaryless component) escalate back to blossom.
@@ -473,27 +474,21 @@ func (d *Decoder) decodeMiss(defects []int, s *Scratch) (uint64, decodePath, err
 		}
 		return r.mask[d.boundary], pathK1, nil
 	case 2:
-		if obs, ok, err := d.decodePair(defects, s); ok {
-			return obs, pathK2, err
-		}
-		// Exact quantized tie between the pair path and the two boundary
-		// paths: fall through to the blossom so the choice — and thus the
-		// predicted mask — stays bit-identical to decodeBlossom's
-		// tie-breaking.
-	default:
-		if d.opts.UnionFind {
-			if obs, ok := d.decodeUF(defects, s); ok {
-				return obs, pathUF, nil
-			}
-			// Escalation: the union-find decoder could not resolve the
-			// cluster (odd parity trapped on a boundaryless component, or
-			// an internal invariant tripped); the blossom handles it — or
-			// reports the canonical unmatchable error.
-			obs, err := d.decodeBlossom(defects, s)
-			return obs, pathUFFallback, err
-		}
+		obs, err := d.decodePair(defects, s)
+		return obs, pathK2, err
 	}
-	obs, err := d.decodeBlossom(defects, s)
+	if d.opts.UnionFind {
+		if obs, ok := d.decodeUF(defects, s); ok {
+			return obs, pathUF, nil
+		}
+		// Escalation: the union-find decoder could not resolve the cluster
+		// (odd parity trapped on a boundaryless component, or an internal
+		// invariant tripped); the blossom handles it — or reports the
+		// canonical unmatchable error.
+		obs, _, err := d.decodeBlossom(defects, s)
+		return obs, pathUFFallback, err
+	}
+	obs, _, err := d.decodeBlossom(defects, s)
 	return obs, pathBlossom, err
 }
 
@@ -540,75 +535,100 @@ func (d *Decoder) decodeUF(defects []int, s *Scratch) (uint64, bool) {
 	return obs, true
 }
 
-// decodePair decodes a two-defect syndrome in closed form: the minimum of
-// matching the pair along their shortest path versus sending both defects
-// to the boundary (the only two perfect matchings of decodeBlossom's
-// 4-node graph). ok=false reports an exact tie, which the caller resolves
-// with the blossom.
-func (d *Decoder) decodePair(defects []int, s *Scratch) (obs uint64, ok bool, err error) {
+// pairCost prices matching defect i with defect j, given i's row ri, j's
+// detector index and both quantized boundary weights bi and bj (-1 when
+// unreachable): along their shortest path, or by sending both to the
+// boundary, whichever is cheaper, taking the path on a tie. A negative
+// cost means neither route exists.
+func pairCost(ri *pathRow, j int, bi, bj int64) (w int64, viaPath bool) {
+	wp := quantWeight(ri.dist[j])
+	wb := int64(-1)
+	if bi >= 0 && bj >= 0 {
+		wb = bi + bj
+	}
+	if wp >= 0 && (wb < 0 || wp <= wb) {
+		return wp, true
+	}
+	return wb, false
+}
+
+// decodePair decodes a two-defect syndrome in closed form: the only
+// perfect matching of decodeBlossom's two-node graph is its one edge.
+func (d *Decoder) decodePair(defects []int, s *Scratch) (uint64, error) {
 	a, b := defects[0], defects[1]
 	ra, rb := d.row(a, s), d.row(b, s)
-	wp := quantWeight(ra.dist[b])
-	wa := quantWeight(ra.dist[d.boundary])
-	wb := quantWeight(rb.dist[d.boundary])
-	pairOK := wp >= 0
-	bndOK := wa >= 0 && wb >= 0
-	switch {
-	case pairOK && bndOK && wp == wa+wb:
-		return 0, false, nil
-	case pairOK && (!bndOK || wp < wa+wb):
-		return ra.mask[b], true, nil
-	case bndOK:
-		return ra.mask[d.boundary] ^ rb.mask[d.boundary], true, nil
+	wa, wb := quantWeight(ra.dist[d.boundary]), quantWeight(rb.dist[d.boundary])
+	switch w, viaPath := pairCost(ra, b, wa, wb); {
+	case w < 0:
+		return 0, fmt.Errorf("decoder: defects unmatchable: no path pairs defects %d,%d or joins both to the boundary", a, b)
+	case viaPath:
+		return ra.mask[b], nil
 	default:
-		return 0, true, fmt.Errorf("decoder: defects unmatchable: no path pairs defects %d,%d or joins both to the boundary", a, b)
+		return ra.mask[d.boundary] ^ rb.mask[d.boundary], nil
 	}
 }
 
 // decodeBlossom runs the full minimum-weight perfect matching over the
 // whole defect set, with no closed forms and no cache: the exact reference
 // the fast path reproduces bit for bit, which the differential tests call
-// directly. Nodes 0..k-1 are defects; k..2k-1 are their boundary images,
-// interconnected with zero-weight edges so that any subset of them can
-// pair off among themselves. The edge buffer and matcher state are the
-// scratch's, reused across calls.
-func (d *Decoder) decodeBlossom(defects []int, s *Scratch) (uint64, error) {
+// directly. It also returns the matching's weight.
+//
+// Nodes 0..k-1 are the defects, plus node k, the boundary, when k is odd.
+// Edge (i, j) costs pairCost and edge (i, k) i's boundary weight. The
+// defects a matching with a boundary image per defect sends to the
+// boundary pair off here, one left for node k when k is odd, each pair at
+// no more than its two boundary paths; so the two graphs have the same
+// minimum weight and the same unmatchable sets (see DESIGN.md, "The
+// blossom graph"). The rows, boundary weights, edge buffer and matcher
+// state are the scratch's, reused across calls.
+func (d *Decoder) decodeBlossom(defects []int, s *Scratch) (uint64, int64, error) {
 	k := len(defects)
-	// Exact capacity: at most k(k-1)/2 defect-pair edges, exactly k(k-1)/2
-	// boundary-image edges, and at most k boundary edges — k*k in total —
-	// so the append loop below never reallocates.
-	if cap(s.edges) < k*k {
-		s.edges = make([]matching.Edge, 0, k*k)
+	s.rows, s.bnd = s.rows[:0], s.bnd[:0]
+	for _, det := range defects {
+		r := d.row(det, s)
+		s.rows = append(s.rows, r)
+		s.bnd = append(s.bnd, quantWeight(r.dist[d.boundary]))
+	}
+	rows, bnd := s.rows, s.bnd
+	// At most k(k-1)/2 pair edges and k boundary edges, so the append loop
+	// below never reallocates.
+	if ne := k * (k + 1) / 2; cap(s.edges) < ne {
+		s.edges = make([]matching.Edge, 0, ne)
 	}
 	edges := s.edges[:0]
 	for i := 0; i < k; i++ {
-		ri := d.row(defects[i], s)
 		for j := i + 1; j < k; j++ {
-			if w := quantWeight(ri.dist[defects[j]]); w >= 0 {
+			if w, _ := pairCost(rows[i], defects[j], bnd[i], bnd[j]); w >= 0 {
 				edges = append(edges, matching.Edge{U: i, V: j, W: w})
 			}
-			edges = append(edges, matching.Edge{U: k + i, V: k + j, W: 0})
 		}
-		if w := quantWeight(ri.dist[d.boundary]); w >= 0 {
-			edges = append(edges, matching.Edge{U: i, V: k + i, W: w})
+		if k%2 == 1 && bnd[i] >= 0 {
+			edges = append(edges, matching.Edge{U: i, V: k, W: bnd[i]})
 		}
 	}
 	s.edges = edges
-	mate, err := s.match.MinWeightPerfectMatching(2*k, edges)
+	mate, err := s.match.MinWeightPerfectMatching(k+k%2, edges)
 	if err != nil {
-		return 0, fmt.Errorf("decoder: defects unmatchable: %w", err)
+		return 0, 0, fmt.Errorf("decoder: defects unmatchable: %w", err)
 	}
 	var obs uint64
-	for i := 0; i < k; i++ {
-		m := mate[i]
+	var weight int64
+	for i, m := range mate[:k] {
 		switch {
-		case m == k+i: // matched to the boundary
-			obs ^= d.row(defects[i], s).mask[d.boundary]
-		case m < k && m > i: // defect-defect pair, counted once
-			obs ^= d.row(defects[i], s).mask[defects[m]]
+		case m == k: // matched to the boundary
+			obs ^= rows[i].mask[d.boundary]
+			weight += bnd[i]
+		case m > i: // defect-defect pair, counted once
+			w, viaPath := pairCost(rows[i], defects[m], bnd[i], bnd[m])
+			if viaPath {
+				obs ^= rows[i].mask[defects[m]]
+			} else {
+				obs ^= rows[i].mask[d.boundary] ^ rows[m].mask[d.boundary]
+			}
+			weight += w
 		}
 	}
-	return obs, nil
+	return obs, weight, nil
 }
 
 // KHistBuckets sizes the per-batch syndrome-weight histogram: buckets for

@@ -65,7 +65,7 @@ func randomDefects(rng *rand.Rand, numDet, maxK int) []int {
 func diffDecoders(t *testing.T, fast, ref *Decoder, s *Scratch, defects []int) uint64 {
 	t.Helper()
 	got, gotErr := fast.DecodeWithScratch(defects, s)
-	want, wantErr := ref.decodeBlossom(defects, ref.NewScratch())
+	want, _, wantErr := ref.decodeBlossom(defects, ref.NewScratch())
 	if (gotErr != nil) != (wantErr != nil) {
 		t.Fatalf("defects %v: fast err=%v, reference err=%v", defects, gotErr, wantErr)
 	}
@@ -331,7 +331,7 @@ func TestSyndromeCacheCountersAndBound(t *testing.T) {
 		if len(defects) > 0 {
 			nonEmpty++
 		}
-		want, err := ref.decodeBlossom(defects, ref.NewScratch())
+		want, _, err := ref.decodeBlossom(defects, ref.NewScratch())
 		if err != nil {
 			t.Fatal(err)
 		}

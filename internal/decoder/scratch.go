@@ -6,16 +6,19 @@ import (
 )
 
 // Scratch is a per-goroutine arena for the decode hot loop: the defect
-// list, matching edge buffer, syndrome-cache key buffer, the Dijkstra queue
-// of new shortest-path rows, the blossom matcher's internal state and (when
-// union-find is enabled) the uf arena, all reused across shots so that
-// steady-state decoding does not allocate.
+// list, the blossom's rows, boundary weights and matching edges, the
+// syndrome-cache key buffer, the Dijkstra queue of new shortest-path rows,
+// the blossom matcher's internal state and (when union-find is enabled)
+// the uf arena, all reused across shots so that steady-state decoding does
+// not allocate.
 // DecodeBatch creates one per call; callers that decode many ranges (the
 // Monte-Carlo chunk loop) should hold one per worker and use
 // DecodeRangeScratch. A Scratch must never be shared between concurrent
 // calls.
 type Scratch struct {
 	defects []int
+	rows    []*pathRow
+	bnd     []int64
 	edges   []matching.Edge
 	key     []byte
 	heap    rowHeap

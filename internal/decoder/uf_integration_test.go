@@ -12,7 +12,6 @@ import (
 	"surfstitch/internal/devicetest"
 	"surfstitch/internal/experiment"
 	"surfstitch/internal/frame"
-	"surfstitch/internal/matching"
 	"surfstitch/internal/noise"
 	"surfstitch/internal/stats"
 	"surfstitch/internal/synth"
@@ -269,33 +268,6 @@ func TestUFWilsonBoundLER(t *testing.T) {
 	}
 }
 
-// mwpmWeight computes the exact minimum matching weight of a defect set the
-// same way decodeBlossom sets up the problem, for the weight lower-bound
-// assertion in the fuzzer.
-func mwpmWeight(t *testing.T, d *Decoder, defects []int) (int64, bool) {
-	t.Helper()
-	k := len(defects)
-	edges := make([]matching.Edge, 0, k*k)
-	s := d.NewScratch()
-	for i := 0; i < k; i++ {
-		ri := d.row(defects[i], s)
-		for j := i + 1; j < k; j++ {
-			if w := quantWeight(ri.dist[defects[j]]); w >= 0 {
-				edges = append(edges, matching.Edge{U: i, V: j, W: w})
-			}
-			edges = append(edges, matching.Edge{U: k + i, V: k + j, W: 0})
-		}
-		if w := quantWeight(ri.dist[d.boundary]); w >= 0 {
-			edges = append(edges, matching.Edge{U: i, V: k + i, W: w})
-		}
-	}
-	mate, err := matching.MinWeightPerfectMatching(2*k, edges)
-	if err != nil {
-		return 0, false
-	}
-	return matching.MatchingWeight(edges, mate), true
-}
-
 func FuzzUFvsBlossom(f *testing.F) {
 	f.Add(int64(1), uint8(30), uint8(3))
 	f.Add(int64(7), uint8(60), uint8(5))
@@ -334,7 +306,7 @@ func FuzzUFvsBlossom(f *testing.F) {
 				defects = append(defects, base, base+1)
 			}
 			got, gotErr := ufDec.Decode(defects)
-			want, wantErr := ref.decodeBlossom(defects, ref.NewScratch())
+			want, _, wantErr := ref.decodeBlossom(defects, ref.NewScratch())
 			if (gotErr != nil) != (wantErr != nil) {
 				t.Fatalf("isolated pairs %v: uf err=%v reference err=%v", defects, gotErr, wantErr)
 			}
@@ -354,7 +326,7 @@ func FuzzUFvsBlossom(f *testing.F) {
 				continue
 			}
 			_, _, gotErr := ufDec.decodeMiss(defects, s)
-			_, wantErr := ref.decodeBlossom(defects, ref.NewScratch())
+			_, _, wantErr := ref.decodeBlossom(defects, ref.NewScratch())
 			if (gotErr != nil) != (wantErr != nil) {
 				t.Fatalf("defects %v: uf err=%v reference err=%v", defects, gotErr, wantErr)
 			}
@@ -362,7 +334,7 @@ func FuzzUFvsBlossom(f *testing.F) {
 				continue
 			}
 			if len(defects) >= 3 && s.ufs != nil {
-				if min, ok := mwpmWeight(t, ufDec, defects); ok {
+				if _, min, err := denseBlossom(ufDec, defects); err == nil {
 					// The two sides quantize differently — UF sums per-edge
 					// rounded weights, the matching rounds whole path sums —
 					// so each correction edge and each matched path can skew

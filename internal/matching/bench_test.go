@@ -17,13 +17,25 @@ func randomCompleteGraph(n int, seed int64) []Edge {
 }
 
 // BenchmarkMWPM measures minimum-weight perfect matching on complete graphs
-// of the defect sizes seen while decoding (the inner loop of Figure 9).
+// of the defect sizes seen while decoding (the inner loop of Figure 9),
+// through the allocating entry point and on one reused Scratch, the path
+// the decoder takes.
 func BenchmarkMWPM(b *testing.B) {
 	for _, n := range []int{8, 16, 32, 64} {
 		edges := randomCompleteGraph(n, int64(n))
 		b.Run(sizeName(n), func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := MinWeightPerfectMatching(n, edges); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run("scratch/"+sizeName(n), func(b *testing.B) {
+			var s Scratch
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := s.MinWeightPerfectMatching(n, edges); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -3,6 +3,11 @@
 // Rantwijk's well-known array-based implementation), plus the
 // minimum-weight perfect matching wrapper used by the MWPM decoder — the
 // role PyMatching plays in the paper's toolchain.
+//
+// A Scratch keeps every buffer of the matcher between calls, its blossom
+// bookkeeping included, so once warm the decoder's per-shot matchings
+// allocate nothing. TestMatchingGoldenDigest pins the matcher's exact
+// trajectory, tie-breaks included.
 package matching
 
 // Edge is a weighted undirected edge for the matcher. Weights are integers;
@@ -47,21 +52,33 @@ type matcher struct {
 	endpoint  []int   // endpoint[p] = vertex at endpoint p; p/2 is the edge
 	neighbend [][]int // remote endpoints of edges incident to each vertex
 
-	mate             []int // vertex -> remote endpoint of its matched edge, or -1
-	label            []int // 0 free, 1 S, 2 T (per top-level blossom and vertex)
-	labelend         []int
-	inblossom        []int
-	blossomparent    []int
+	mate          []int // vertex -> remote endpoint of its matched edge, or -1
+	label         []int // 0 free, 1 S, 2 T (per top-level blossom and vertex)
+	labelend      []int
+	inblossom     []int
+	blossomparent []int
+	blossombase   []int
+	bestedge      []int
+
+	// Per blossom index: its children, the endpoints joining them, and its
+	// least-slack edges to other S-blossoms. Each entry keeps its backing
+	// array when the blossom is expanded and its index returns to
+	// unusedblossoms, so the blossom that next takes the index builds its
+	// lists without allocating. An empty best-edge list means "unknown":
+	// addBlossom then rescans the child's leaves.
 	blossomchilds    [][]int
-	blossombase      []int
 	blossomendps     [][]int
-	bestedge         []int
 	blossombestedges [][]int
-	unusedblossoms   []int
-	dualvar          []int64
-	allowedge        []bool
-	queue            []int
-	leavesBuf        []int // reused by assignLabel's queue fill
+
+	unusedblossoms []int
+	dualvar        []int64
+	allowedge      []bool
+	queue          []int
+
+	bestedgeto []int // addBlossom's table of best edges by blossom; all noNode between calls
+	path       []int // scanBlossom's trace
+	leaves     []int // addBlossom's and expandBlossom's leaf lists
+	leavesBuf  []int // assignLabel's queue fill
 }
 
 func newMatcher(n int, edges []Edge, maxCard bool) *matcher {
@@ -116,9 +133,9 @@ func (m *matcher) reset(n int, edges []Edge, maxCard bool) {
 	m.blossomendps = resizeIntSlices(m.blossomendps, 2*n)
 	m.blossombestedges = resizeIntSlices(m.blossombestedges, 2*n)
 	for i := 0; i < 2*n; i++ {
-		m.blossomchilds[i] = nil
-		m.blossomendps[i] = nil
-		m.blossombestedges[i] = nil
+		m.blossomchilds[i] = m.blossomchilds[i][:0]
+		m.blossomendps[i] = m.blossomendps[i][:0]
+		m.blossombestedges[i] = m.blossombestedges[i][:0]
 	}
 	m.blossombase = resizeInts(m.blossombase, 2*n)
 	for v := 0; v < n; v++ {
@@ -127,6 +144,8 @@ func (m *matcher) reset(n int, edges []Edge, maxCard bool) {
 	}
 	m.bestedge = resizeInts(m.bestedge, 2*n)
 	fillInts(m.bestedge, noNode)
+	m.bestedgeto = resizeInts(m.bestedgeto, 2*n)
+	fillInts(m.bestedgeto, noNode)
 	m.unusedblossoms = m.unusedblossoms[:0]
 	for b := n; b < 2*n; b++ {
 		m.unusedblossoms = append(m.unusedblossoms, b)
@@ -171,9 +190,13 @@ func resizeEdges(s []Edge, n int) []Edge {
 	return s[:n]
 }
 
+// resizeIntSlices is resizeInts for lists of lists: a grown table keeps
+// every inner list it had, so their backing arrays stay in use.
 func resizeIntSlices(s [][]int, n int) [][]int {
 	if cap(s) < n {
-		return make([][]int, n)
+		grown := make([][]int, n)
+		copy(grown, s[:cap(s)])
+		return grown
 	}
 	return s[:n]
 }
@@ -182,12 +205,6 @@ func fillInts(s []int, v int) {
 	for i := range s {
 		s[i] = v
 	}
-}
-
-func filled(n, v int) []int {
-	s := make([]int, n)
-	fillInts(s, v)
-	return s
 }
 
 // slack returns the slack of edge k (non-negative on tight duals).
@@ -236,7 +253,7 @@ func (m *matcher) assignLabel(w, t, p int) {
 // blossom in the alternating tree; returns its base vertex, or noNode when
 // an augmenting path was found instead.
 func (m *matcher) scanBlossom(v, w int) int {
-	var path []int
+	path := m.path[:0]
 	base := noNode
 	for v != noNode || w != noNode {
 		b := m.inblossom[v]
@@ -272,6 +289,7 @@ func (m *matcher) scanBlossom(v, w int) int {
 	for _, b := range path {
 		m.label[b] = 1
 	}
+	m.path = path
 	return base
 }
 
@@ -287,7 +305,7 @@ func (m *matcher) addBlossom(base, k int) {
 	m.blossombase[b] = base
 	m.blossomparent[b] = noNode
 	m.blossomparent[bb] = b
-	var path, endps []int
+	path, endps := m.blossomchilds[b][:0], m.blossomendps[b][:0]
 	for bv != bb {
 		m.blossomparent[bv] = b
 		path = append(path, bv)
@@ -314,52 +332,37 @@ func (m *matcher) addBlossom(base, k int) {
 	m.dualvar[b] = 0
 	m.blossomchilds[b] = path
 	m.blossomendps[b] = endps
-	var leaves []int
-	m.blossomLeaves(b, &leaves)
-	for _, lv := range leaves {
+	m.leaves = m.leaves[:0]
+	m.blossomLeaves(b, &m.leaves)
+	for _, lv := range m.leaves {
 		if m.label[m.inblossom[lv]] == 2 {
 			m.queue = append(m.queue, lv)
 		}
 		m.inblossom[lv] = b
 	}
 	// Recompute best edges out of the new blossom.
-	bestedgeto := filled(2*m.nvertex, noNode)
 	for _, child := range path {
-		var nblists [][]int
-		if m.blossombestedges[child] == nil {
-			var leaves2 []int
-			m.blossomLeaves(child, &leaves2)
-			for _, lv := range leaves2 {
-				list := make([]int, 0, len(m.neighbend[lv]))
+		if len(m.blossombestedges[child]) == 0 {
+			m.leaves = m.leaves[:0]
+			m.blossomLeaves(child, &m.leaves)
+			for _, lv := range m.leaves {
 				for _, p := range m.neighbend[lv] {
-					list = append(list, p/2)
+					m.offerBestEdge(b, p/2)
 				}
-				nblists = append(nblists, list)
 			}
 		} else {
-			nblists = [][]int{m.blossombestedges[child]}
-		}
-		for _, nblist := range nblists {
-			for _, ek := range nblist {
-				i, j := m.edges[ek].U, m.edges[ek].V
-				if m.inblossom[j] == b {
-					i, j = j, i
-				}
-				_ = i
-				bj := m.inblossom[j]
-				if bj != b && m.label[bj] == 1 &&
-					(bestedgeto[bj] == noNode || m.slack(ek) < m.slack(bestedgeto[bj])) {
-					bestedgeto[bj] = ek
-				}
+			for _, ek := range m.blossombestedges[child] {
+				m.offerBestEdge(b, ek)
 			}
 		}
-		m.blossombestedges[child] = nil
+		m.blossombestedges[child] = m.blossombestedges[child][:0]
 		m.bestedge[child] = noNode
 	}
-	var best []int
-	for _, ek := range bestedgeto {
+	best := m.blossombestedges[b][:0]
+	for bj, ek := range m.bestedgeto {
 		if ek != noNode {
 			best = append(best, ek)
+			m.bestedgeto[bj] = noNode
 		}
 	}
 	m.blossombestedges[b] = best
@@ -368,6 +371,21 @@ func (m *matcher) addBlossom(base, k int) {
 		if m.bestedge[b] == noNode || m.slack(ek) < m.slack(m.bestedge[b]) {
 			m.bestedge[b] = ek
 		}
+	}
+}
+
+// offerBestEdge records edge ek in bestedgeto when it leads from the new
+// blossom b to another S-blossom with less slack than the edge recorded
+// for that blossom so far.
+func (m *matcher) offerBestEdge(b, ek int) {
+	j := m.edges[ek].V
+	if m.inblossom[j] == b {
+		j = m.edges[ek].U
+	}
+	bj := m.inblossom[j]
+	if bj != b && m.label[bj] == 1 &&
+		(m.bestedgeto[bj] == noNode || m.slack(ek) < m.slack(m.bestedgeto[bj])) {
+		m.bestedgeto[bj] = ek
 	}
 }
 
@@ -381,9 +399,9 @@ func (m *matcher) expandBlossom(b int, endstage bool) {
 		} else if endstage && m.dualvar[s] == 0 {
 			m.expandBlossom(s, endstage)
 		} else {
-			var leaves []int
-			m.blossomLeaves(s, &leaves)
-			for _, lv := range leaves {
+			m.leaves = m.leaves[:0]
+			m.blossomLeaves(s, &m.leaves)
+			for _, lv := range m.leaves {
 				m.inblossom[lv] = s
 			}
 		}
@@ -424,11 +442,11 @@ func (m *matcher) expandBlossom(b int, endstage bool) {
 				j += jstep
 				continue
 			}
-			var leaves []int
-			m.blossomLeaves(bv, &leaves)
+			m.leaves = m.leaves[:0]
+			m.blossomLeaves(bv, &m.leaves)
 			var lv int
 			found := false
-			for _, lv = range leaves {
+			for _, lv = range m.leaves {
 				if m.label[lv] != 0 {
 					found = true
 					break
@@ -447,10 +465,10 @@ func (m *matcher) expandBlossom(b int, endstage bool) {
 	}
 	m.label[b] = noNode
 	m.labelend[b] = noNode
-	m.blossomchilds[b] = nil
-	m.blossomendps[b] = nil
+	m.blossomchilds[b] = m.blossomchilds[b][:0]
+	m.blossomendps[b] = m.blossomendps[b][:0]
 	m.blossombase[b] = noNode
-	m.blossombestedges[b] = nil
+	m.blossombestedges[b] = m.blossombestedges[b][:0]
 	m.bestedge[b] = noNode
 	m.unusedblossoms = append(m.unusedblossoms, b)
 }
@@ -489,9 +507,9 @@ func (m *matcher) augmentBlossom(b, v int) {
 		m.mate[m.endpoint[p]] = p ^ 1
 		m.mate[m.endpoint[p^1]] = p
 	}
-	m.blossomchilds[b] = append(childs[i:], childs[:i]...)
-	m.blossomendps[b] = append(m.blossomendps[b][i:], m.blossomendps[b][:i]...)
-	m.blossombase[b] = m.blossombase[m.blossomchilds[b][0]]
+	rotateInts(childs, i)
+	rotateInts(m.blossomendps[b], i)
+	m.blossombase[b] = m.blossombase[childs[0]]
 	if m.blossombase[b] != v {
 		panic("matching: augmentBlossom failed to rebase")
 	}
@@ -546,7 +564,7 @@ func (m *matcher) run() {
 			m.bestedge[i] = noNode
 		}
 		for b := n; b < 2*n; b++ {
-			m.blossombestedges[b] = nil
+			m.blossombestedges[b] = m.blossombestedges[b][:0]
 		}
 		for i := range m.allowedge {
 			m.allowedge[i] = false
@@ -709,6 +727,13 @@ func reverseInts(s []int) {
 	for i, j := 0, len(s)-1; i < j; i, j = i+1, j-1 {
 		s[i], s[j] = s[j], s[i]
 	}
+}
+
+// rotateInts rotates s left by i in place: s[i:] followed by s[:i].
+func rotateInts(s []int, i int) {
+	reverseInts(s[:i])
+	reverseInts(s[i:])
+	reverseInts(s)
 }
 
 func indexOf(s []int, v int) int {

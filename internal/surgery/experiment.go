@@ -136,21 +136,26 @@ func Assemble(p *Placement, basis []code.StabType, opts Options) (*Experiment, e
 	}
 
 	// The two phase schedules: separate rounds zip every patch schedule;
-	// merged rounds zip the merged schedules with the solo patches'.
-	var sepGroups, mrgGroups []synth.Schedule
+	// merged rounds, if any, zip the merged schedules with the solo
+	// patches'.
+	var sepGroups []synth.Schedule
 	for _, s := range p.Patches {
 		sepGroups = append(sepGroups, s.Schedule)
 	}
-	for _, m := range p.Merges {
-		mrgGroups = append(mrgGroups, m.Synth.Schedule)
-	}
-	for pi, s := range p.Patches {
-		if p.OpOf(pi) < 0 {
-			mrgGroups = append(mrgGroups, s.Schedule)
-		}
-	}
 	sepSets := zipSchedules(sepGroups)
-	mrgSets := zipSchedules(mrgGroups)
+	var mrgSets [][]*flagbridge.Plan
+	if spec.MergeRounds > 0 {
+		var mrgGroups []synth.Schedule
+		for _, m := range p.Merges {
+			mrgGroups = append(mrgGroups, m.Synth.Schedule)
+		}
+		for pi, s := range p.Patches {
+			if p.OpOf(pi) < 0 {
+				mrgGroups = append(mrgGroups, s.Schedule)
+			}
+		}
+		mrgSets = zipSchedules(mrgGroups)
+	}
 
 	var seamAll, seamPlus []int // |+>-basis seams belong to ZZ merges
 	for _, m := range p.Merges {

@@ -31,7 +31,7 @@ func twoPatchDevice(tiling string, d int, j Joint) *device.Device {
 	vertical := j == JointZZ
 	switch tiling {
 	case "heavy-square":
-		w, h := 2+d/2*2, 5+(d/2)*7 // 4x7 at d=3, 6x12 at d=5 (empirically ample)
+		w, h := 2+d/2*2, 2+(d/2)*5 // 4x7 at d=3, 6x12 at d=5
 		if !vertical {
 			w, h = h, w
 		}
