@@ -15,12 +15,15 @@ vet:
 # The race pass keeps the concurrent Monte-Carlo engine (internal/mc) and
 # everything layered on it honest; internal/mc, internal/threshold and
 # internal/verify (its single-fault sweep) are the packages that actually
-# spawn workers.
+# spawn workers. internal/synth runs concurrent syntheses on one shared
+# device (the daemon's pattern); -short keeps its differential oracle to
+# d=3, since the d=5 half is single-threaded and slow under the detector.
 race:
 	$(GO) test -race ./...
 
 race-core:
 	$(GO) test -race ./internal/mc/... ./internal/threshold/... ./internal/decoder/... ./internal/uf/... ./internal/frame/... ./internal/server/... ./internal/obs/... ./internal/device/... ./internal/noise/... ./internal/surgery/... ./internal/verify/...
+	$(GO) test -race -short ./internal/synth/...
 
 # surflint: the domain-aware analyzer suite (rngstream, errdrop,
 # paniccheck, atomicmix). Lock copies and leaked context cancel funcs are

@@ -525,10 +525,3 @@ func abs(a int) int {
 	}
 	return a
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

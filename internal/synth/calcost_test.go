@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"surfstitch/internal/device"
+	"surfstitch/internal/devicetest"
 	"surfstitch/internal/grid"
 	"surfstitch/internal/noise"
 )
@@ -71,7 +72,7 @@ func TestCalibrationCostOrdersSnapshots(t *testing.T) {
 
 // The Dijkstra edge coster must price calibrated hops as the documented
 // base + 20000-scaled channel strengths, and leave uncalibrated devices at
-// the plain unit step.
+// the plain unit step; the finder's compiled prices must be its prices.
 func TestEdgeCosterPricesCalibratedHops(t *testing.T) {
 	dev := device.Square(4, 4)
 	if got := newEdgeCoster(dev).cost(0, 1); got != 1000 {
@@ -102,6 +103,37 @@ func TestEdgeCosterPricesCalibratedHops(t *testing.T) {
 	}
 	if got := ec.cost(e[1], e[0]); got != want {
 		t.Fatalf("reversed calibrated hop = %d milli-hops, want %d", got, want)
+	}
+
+	// The finder prices each hop once per call into arrays aligned with the
+	// adjacency; every compiled price must be edgeCoster's, on a calibrated
+	// device and on one with defects.
+	octagon := devicetest.ForDistance(t, device.KindOctagon, 5)
+	snapshot, err := device.GenerateCalibration(octagon, "bad", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	calibrated, err := octagon.WithCalibration(snapshot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defected := devicetest.Damaged(t, octagon, "random", 0.06, 2)
+	for _, dev := range []*device.Device{calibrated, defected} {
+		if !dev.HasErrorOverrides() {
+			t.Fatalf("%s carries no error information", dev.Name())
+		}
+		hop, ec := compileHops(dev), newEdgeCoster(dev)
+		g := dev.Graph()
+		for u := 0; u < dev.Len(); u++ {
+			if len(hop[u]) != g.Degree(u) {
+				t.Fatalf("%s: qubit %d has %d prices for %d neighbours", dev.Name(), u, len(hop[u]), g.Degree(u))
+			}
+			for k, v := range g.Neighbors(u) {
+				if want := ec.cost(u, v); hop[u][k] != want {
+					t.Fatalf("%s: hop %d→%d priced %d, want %d", dev.Name(), u, v, hop[u][k], want)
+				}
+			}
+		}
 	}
 }
 

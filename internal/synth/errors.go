@@ -70,7 +70,7 @@ func (e *RouteError) Unwrap() error { return ErrDisconnected }
 // match either errors.Is(err, synth.ErrBudgetExceeded) or
 // errors.Is(err, context.Canceled).
 type BudgetError struct {
-	Stage string // "allocate", "anneal", "co-optimize", ...
+	Stage string // "allocate", "trees", "co-optimize"
 	Cause error  // the context's error
 }
 

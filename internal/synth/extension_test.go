@@ -3,89 +3,7 @@ package synth
 import (
 	"context"
 	"testing"
-
-	"surfstitch/internal/device"
 )
-
-func TestAnnealNeverWorsens(t *testing.T) {
-	start, err := Allocate(context.Background(), device.HeavySquare(4, 3), 3, ModeDefault)
-	if err != nil {
-		t.Fatal(err)
-	}
-	startEnergy, _, err := layoutEnergy(start)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := Anneal(context.Background(), start, AnnealConfig{Iterations: 60, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	outEnergy, _, err := layoutEnergy(out)
-	if err != nil {
-		t.Fatalf("annealed layout infeasible: %v", err)
-	}
-	if outEnergy > startEnergy {
-		t.Errorf("annealing worsened the layout: %.1f -> %.1f", startEnergy, outEnergy)
-	}
-	// The annealed layout must still synthesize end to end.
-	s, err := SynthesizeOnLayout(out, Options{})
-	if err != nil {
-		t.Fatalf("synthesis on annealed layout: %v", err)
-	}
-	if err := s.Schedule.Validate(len(s.Plans)); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestAnnealRecoversFromPerturbedLayout(t *testing.T) {
-	// Start from a deliberately worsened mapping (one data qubit displaced)
-	// and check annealing finds a layout at least as good as the perturbed
-	// one — typically recovering the original energy.
-	good, err := Allocate(context.Background(), device.HeavySquare(4, 3), 3, ModeDefault)
-	if err != nil {
-		t.Fatal(err)
-	}
-	goodEnergy, _, _ := layoutEnergy(good)
-
-	// Perturb: move one data qubit one hop away if feasible.
-	mapping := append([]int(nil), good.DataQubit...)
-	g := good.Dev.Graph()
-	perturbed := false
-	for di := range mapping {
-		for _, nb := range g.Neighbors(mapping[di]) {
-			if containsInt(mapping, nb) {
-				continue
-			}
-			old := mapping[di]
-			mapping[di] = nb
-			if _, _, err := energyOfMapping(good.Dev, good, mapping); err == nil {
-				perturbed = true
-				break
-			}
-			mapping[di] = old
-		}
-		if perturbed {
-			break
-		}
-	}
-	if !perturbed {
-		t.Skip("no feasible perturbation found")
-	}
-	start, err := LayoutFromMapping(good.Dev, good.Code, mapping)
-	if err != nil {
-		t.Fatal(err)
-	}
-	startEnergy, _, _ := layoutEnergy(start)
-	out, err := Anneal(context.Background(), start, AnnealConfig{Iterations: 150, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	outEnergy, _, _ := layoutEnergy(out)
-	t.Logf("energies: optimal %.0f, perturbed %.0f, annealed %.0f", goodEnergy, startEnergy, outEnergy)
-	if outEnergy > startEnergy {
-		t.Errorf("annealing worsened: %.0f -> %.0f", startEnergy, outEnergy)
-	}
-}
 
 func TestCoOptimizeNeverWorsens(t *testing.T) {
 	for _, c := range standardDevices() {

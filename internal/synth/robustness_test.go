@@ -192,18 +192,6 @@ func TestSynthesizeHonorsContext(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("error %v does not match context.Canceled", err)
 	}
-	if _, err := Anneal(ctx, mustLayout(t), AnnealConfig{Iterations: 10}); !errors.Is(err, ErrBudgetExceeded) {
-		t.Fatalf("anneal error %v does not match ErrBudgetExceeded", err)
-	}
-}
-
-func mustLayout(t *testing.T) *Layout {
-	t.Helper()
-	layout, err := Allocate(context.Background(), device.Square(6, 6), 3, ModeDefault)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return layout
 }
 
 // TestSynthesizedCodesAlwaysDeterministic: any successful synthesis on a

@@ -1,9 +1,7 @@
 package synth
 
 import (
-	"container/heap"
 	"fmt"
-	"sort"
 
 	"surfstitch/internal/code"
 	"surfstitch/internal/device"
@@ -38,14 +36,18 @@ func FindAllTreesWith(layout *Layout, starOnly bool) ([]*graph.Tree, error) {
 
 // findAllTrees is the shared core of the pristine and degraded tree passes.
 // With degrade set, an unroutable stabilizer does not abort the pass: its
-// tree stays nil and its RouteError is recorded in the dropped map.
+// tree stays nil and its RouteError is recorded in the dropped map. One
+// finder serves every search of the pass.
 func findAllTrees(layout *Layout, starOnly, degrade bool) ([]*graph.Tree, map[int]error, error) {
 	stabs := layout.Code.Stabilizers()
+	n := layout.Dev.Len()
+	f := newFinder(layout)
 	trees := make([]*graph.Tree, len(stabs))
 	blockedBy := map[code.StabType][]bool{
-		code.StabX: make([]bool, layout.Dev.Len()),
-		code.StabZ: make([]bool, layout.Dev.Len()),
+		code.StabX: make([]bool, n),
+		code.StabZ: make([]bool, n),
 	}
+	both, none := make([]bool, n), make([]bool, n)
 	// Bulk (weight-4) stabilizers of both types go first: their trees are
 	// the most constrained (often a single possible root), while boundary
 	// stabilizers usually have alternatives.
@@ -67,16 +69,15 @@ func findAllTrees(layout *Layout, starOnly, degrade bool) ([]*graph.Tree, map[in
 		// Preference ladder: avoid every earlier tree (maximal parallelism),
 		// then only same-type trees (the initial X/Z schedule still works),
 		// then nothing (the scheduler serializes the conflicts).
-		both := make([]bool, len(same))
 		for i := range both {
 			both[i] = same[i] || other[i]
 		}
-		tree, err := FindTreeWith(layout, si, both, starOnly)
+		tree, err := f.findTree(si, both, starOnly)
 		if err != nil {
-			tree, err = FindTreeWith(layout, si, same, starOnly)
+			tree, err = f.findTree(si, same, starOnly)
 		}
 		if err != nil {
-			tree, err = FindTreeWith(layout, si, make([]bool, layout.Dev.Len()), starOnly)
+			tree, err = f.findTree(si, none, starOnly)
 		}
 		if err != nil {
 			if !degrade {
@@ -110,78 +111,7 @@ func FindTree(layout *Layout, si int, blocked []bool) (*graph.Tree, error) {
 // FindTreeWith is FindTree with the branching-tree heuristic optionally
 // disabled (the star-only ablation of Figure 6's design discussion).
 func FindTreeWith(layout *Layout, si int, blocked []bool, starOnly bool) (*graph.Tree, error) {
-	s := layout.Code.Stabilizers()[si]
-	data := make([]int, len(s.Data))
-	for i, dq := range s.Data {
-		data[i] = layout.DataQubit[dq]
-	}
-	for expand := 0; expand <= maxRectExpand; expand++ {
-		rect := layout.Rects[si].Expand(expand)
-		interior := func(q int) bool {
-			return rect.Contains(layout.Dev.Coord(q)) && !layout.IsData[q] && !blocked[q]
-		}
-		best := bestStarTree(layout, data, interior)
-		if len(data) == 4 && !starOnly {
-			if bt := bestBranchingTree(layout, data, interior); bt != nil {
-				if best == nil || bt.EdgeLen() < best.EdgeLen() {
-					best = bt
-				}
-			}
-		}
-		if best != nil {
-			return rerootAtCenter(best, layout.IsData)
-		}
-	}
-	return nil, &RouteError{
-		Device:     layout.Dev.Name(),
-		Stabilizer: s.String(),
-		Index:      si,
-		Rect:       layout.Rects[si],
-		Expand:     maxRectExpand,
-	}
-}
-
-// terminalSearch finds routes from src through interior nodes toward the
-// terminals. On a pristine device it is a plain BFS (fewest hops, the
-// paper's Algorithm 2); on a device carrying calibration overrides it
-// switches to a defect-weighted Dijkstra so bridge routes detour around
-// derated qubits and couplers — stage two of the degradation ladder.
-func terminalSearch(layout *Layout, src int, interior func(int) bool, terminals map[int]bool) []int {
-	if layout.Dev.HasErrorOverrides() {
-		return terminalDijkstra(layout, src, interior, terminals)
-	}
-	return terminalBFS(layout, src, interior, terminals)
-}
-
-// terminalBFS runs a BFS from src that expands only through interior nodes
-// but may terminate on the given terminal nodes. It returns parent pointers
-// (-1 = unreached; src's parent is src).
-func terminalBFS(layout *Layout, src int, interior func(int) bool, terminals map[int]bool) []int {
-	g := layout.Dev.Graph()
-	parent := make([]int, layout.Dev.Len())
-	for i := range parent {
-		parent[i] = -1
-	}
-	parent[src] = src
-	queue := []int{src}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		if terminals[u] && u != src {
-			continue // do not expand through terminals
-		}
-		for _, v := range g.Neighbors(u) {
-			if parent[v] != -1 {
-				continue
-			}
-			if !interior(v) && !terminals[v] {
-				continue
-			}
-			parent[v] = u
-			queue = append(queue, v)
-		}
-	}
-	return parent
+	return newFinder(layout).findTree(si, blocked, starOnly)
 }
 
 // edgeCoster prices hops for the defect-weighted Dijkstra. The base price of
@@ -245,311 +175,497 @@ func (ec *edgeCoster) cost(u, v int) int {
 	return cost
 }
 
-// terminalDijkstra is terminalBFS with defect-weighted edges. Ties break
-// toward the smaller qubit id, keeping routes deterministic.
-func terminalDijkstra(layout *Layout, src int, interior func(int) bool, terminals map[int]bool) []int {
-	g := layout.Dev.Graph()
-	ec := newEdgeCoster(layout.Dev)
-	n := layout.Dev.Len()
-	parent := make([]int, n)
-	dist := make([]int, n)
-	done := make([]bool, n)
-	for i := range parent {
-		parent[i] = -1
-		dist[i] = int(^uint(0) >> 1)
-	}
-	parent[src] = src
-	dist[src] = 0
-	pq := &nodeHeap{{0, src}}
-	for pq.Len() > 0 {
-		top := heap.Pop(pq).(nodeDist)
-		u := top.node
-		if done[u] {
-			continue
-		}
-		done[u] = true
-		if terminals[u] && u != src {
-			continue // do not expand through terminals
-		}
-		for _, v := range g.Neighbors(u) {
-			if done[v] || (!interior(v) && !terminals[v]) {
-				continue
-			}
-			nd := dist[u] + ec.cost(u, v)
-			if nd < dist[v] || (nd == dist[v] && u < parent[v]) {
-				dist[v] = nd
-				parent[v] = u
-				heap.Push(pq, nodeDist{nd, v})
-			}
+// compileHops prices every directed hop of the device once, in arrays
+// aligned with the coupling graph's adjacency: hop[u][k] is the cost of
+// entering the k-th neighbour of u, by edgeCoster.cost.
+func compileHops(dev *device.Device) [][]int {
+	g := dev.Graph()
+	ec := newEdgeCoster(dev)
+	hop := make([][]int, g.Len())
+	flat := make([]int, 2*g.EdgeCount())
+	for u := range hop {
+		nbrs := g.Neighbors(u)
+		hop[u], flat = flat[:len(nbrs):len(nbrs)], flat[len(nbrs):]
+		for k, v := range nbrs {
+			hop[u][k] = ec.cost(u, v)
 		}
 	}
-	return parent
+	return hop
 }
 
-// nodeHeap is a min-heap of (distance, node) pairs with deterministic
-// smaller-id tie-breaking.
+// finder runs Algorithm 2's searches for one FindTree or FindAllTrees call.
+// It prices the device's hops once, keeps one search scratch whose per-node
+// arrays are stamped with an epoch instead of cleared, and scores each
+// candidate tree by its size alone: only the winner of each stabilizer
+// becomes a graph.Tree. A finder belongs to the call that made it; it is
+// never shared between goroutines.
+type finder struct {
+	layout *Layout
+	g      *graph.Graph
+	// hop[u][k] prices entering the k-th neighbour of u, in milli-hops; nil
+	// on a device without error information, whose searches are plain BFS.
+	hop [][]int
+
+	// clock issues epochs. A per-node entry belongs to the current use of
+	// its array only while its stamp equals that use's epoch.
+	clock    uint32
+	searchEp uint32
+	seen     []uint32 // parent and dist hold the current search's values
+	done     []uint32 // settled by the current Dijkstra
+	parent   []int
+	dist     []int
+	queue    []int
+	heap     []nodeDist
+
+	termEp   uint32
+	terminal []uint32 // the stabilizer's data qubits
+	inEp     uint32
+	interior []uint32 // free bridge candidates in the current rectangle
+	inner    []int    // the interior qubits, ascending
+	data     []int    // the stabilizer's data qubits, in stabilizer order
+
+	mark  []uint32 // path and union membership
+	union []int    // a star candidate's nodes other than its root
+	paths [4][4][]int
+
+	// The smallest candidate so far: its edge count (-1 for none), root and
+	// edges.
+	bestSize  int
+	bestRoot  int
+	bestEdges [][2]int
+}
+
+func newFinder(layout *Layout) *finder {
+	n := layout.Dev.Len()
+	f := &finder{
+		layout:   layout,
+		g:        layout.Dev.Graph(),
+		seen:     make([]uint32, n),
+		done:     make([]uint32, n),
+		parent:   make([]int, n),
+		dist:     make([]int, n),
+		terminal: make([]uint32, n),
+		interior: make([]uint32, n),
+		mark:     make([]uint32, n),
+	}
+	if layout.Dev.HasErrorOverrides() {
+		f.hop = compileHops(layout.Dev)
+	}
+	return f
+}
+
+func (f *finder) tick() uint32 {
+	f.clock++
+	return f.clock
+}
+
+// findTree is FindTreeWith on the finder's scratch.
+func (f *finder) findTree(si int, blocked []bool, starOnly bool) (*graph.Tree, error) {
+	for expand := 0; expand <= maxRectExpand; expand++ {
+		if f.score(si, expand, blocked, starOnly) {
+			return f.winner()
+		}
+	}
+	return nil, &RouteError{
+		Device:     f.layout.Dev.Name(),
+		Stabilizer: f.layout.Code.Stabilizers()[si].String(),
+		Index:      si,
+		Rect:       f.layout.Rects[si],
+		Expand:     maxRectExpand,
+	}
+}
+
+// score runs both heuristics for stabilizer si inside its syndrome
+// rectangle expanded by expand rings, avoiding blocked qubits, and reports
+// whether any candidate exists; the smallest is left in bestRoot and
+// bestEdges. Stars come first in ascending root order, then the branching
+// pairings in cost order, and a candidate replaces the best only when
+// strictly smaller (Algorithm 2 line 13).
+func (f *finder) score(si, expand int, blocked []bool, starOnly bool) bool {
+	f.scope(si, expand, blocked)
+	f.bestSize = -1
+	f.scoreStars()
+	if len(f.data) == 4 && !starOnly {
+		f.scoreBranchings()
+	}
+	return f.bestSize >= 0
+}
+
+// scope stamps stabilizer si's data qubits as the terminals and the free
+// bridge candidates of its rectangle, expanded by expand rings, as the
+// interior.
+func (f *finder) scope(si, expand int, blocked []bool) {
+	l := f.layout
+	f.termEp = f.tick()
+	f.data = f.data[:0]
+	for _, dq := range l.Code.Stabilizers()[si].Data {
+		q := l.DataQubit[dq]
+		f.terminal[q] = f.termEp
+		f.data = append(f.data, q)
+	}
+	rect := l.Rects[si].Expand(expand)
+	f.inEp = f.tick()
+	f.inner = f.inner[:0]
+	for q := range f.interior {
+		if rect.Contains(l.Dev.Coord(q)) && !l.IsData[q] && !blocked[q] {
+			f.interior[q] = f.inEp
+			f.inner = append(f.inner, q)
+		}
+	}
+}
+
+func (f *finder) isTerminal(v int) bool { return f.terminal[v] == f.termEp }
+
+// open reports whether a route may enter v: through it when interior, or
+// ending on it when a terminal.
+func (f *finder) open(v int) bool { return f.interior[v] == f.inEp || f.terminal[v] == f.termEp }
+
+// search grows src's shortest-path tree: routes run through interior nodes
+// and may end on terminals, which are never expanded (src itself may be
+// one). Afterwards seen[v] == searchEp marks the reached nodes and parent
+// their parent pointers; src is its own parent. On a pristine device it is
+// a plain BFS (fewest hops, the paper's Algorithm 2). On a device carrying
+// error overrides or a calibration it is a Dijkstra over the compiled hop
+// prices, so bridge routes detour around derated qubits and couplers —
+// stage two of the degradation ladder.
+//
+// Callers read only the routes to terminals, so the search stops once
+// every terminal other than src is reached (BFS) or settled (Dijkstra):
+// from then on no parent pointer on those routes can change.
+func (f *finder) search(src int) {
+	ep := f.tick()
+	f.searchEp = ep
+	f.seen[src], f.parent[src] = ep, src
+	left := len(f.data)
+	if f.isTerminal(src) {
+		left--
+	}
+	if f.hop == nil {
+		f.bfs(src, ep, left)
+	} else {
+		f.dijkstra(src, ep, left)
+	}
+}
+
+func (f *finder) bfs(src int, ep uint32, left int) {
+	queue := append(f.queue[:0], src)
+search:
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
+		if u != src && f.isTerminal(u) {
+			continue
+		}
+		for _, v := range f.g.Neighbors(u) {
+			if f.seen[v] == ep || !f.open(v) {
+				continue
+			}
+			f.seen[v], f.parent[v] = ep, u
+			queue = append(queue, v)
+			if f.isTerminal(v) {
+				if left--; left == 0 {
+					break search
+				}
+			}
+		}
+	}
+	f.queue = queue
+}
+
+// dijkstra settles nodes in (dist, node) order. That order is total, so
+// the pop sequence does not depend on the heap's layout. Equal distances
+// keep the smaller parent id, which makes routes deterministic.
+func (f *finder) dijkstra(src int, ep uint32, left int) {
+	f.dist[src] = 0
+	f.heap = append(f.heap[:0], nodeDist{0, src})
+	for len(f.heap) > 0 {
+		u := f.pop().node
+		if f.done[u] == ep {
+			continue
+		}
+		f.done[u] = ep
+		if u != src && f.isTerminal(u) {
+			if left--; left == 0 {
+				return
+			}
+			continue
+		}
+		for k, v := range f.g.Neighbors(u) {
+			if f.done[v] == ep || !f.open(v) {
+				continue
+			}
+			nd := f.dist[u] + f.hop[u][k]
+			if f.seen[v] != ep || nd < f.dist[v] || (nd == f.dist[v] && u < f.parent[v]) {
+				f.seen[v], f.dist[v], f.parent[v] = ep, nd, u
+				f.push(nodeDist{nd, v})
+			}
+		}
+	}
+}
+
+// nodeDist is a Dijkstra heap entry, ordered by distance and then node id.
 type nodeDist struct{ dist, node int }
 
-type nodeHeap []nodeDist
-
-func (h nodeHeap) Len() int { return len(h) }
-func (h nodeHeap) Less(i, j int) bool {
-	if h[i].dist != h[j].dist {
-		return h[i].dist < h[j].dist
-	}
-	return h[i].node < h[j].node
-}
-func (h nodeHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *nodeHeap) Push(x any)   { *h = append(*h, x.(nodeDist)) }
-func (h *nodeHeap) Pop() any {
-	old := *h
-	x := old[len(old)-1]
-	*h = old[:len(old)-1]
-	return x
+func (a nodeDist) less(b nodeDist) bool {
+	return a.dist < b.dist || (a.dist == b.dist && a.node < b.node)
 }
 
-func pathFromParents(parent []int, dst int) []int {
-	if parent[dst] == -1 {
-		return nil
+func (f *finder) push(e nodeDist) {
+	h := append(f.heap, e)
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !h[i].less(h[p]) {
+			break
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
 	}
-	path := []int{dst}
-	for parent[path[len(path)-1]] != path[len(path)-1] {
-		path = append(path, parent[path[len(path)-1]])
-	}
-	// reverse: src..dst
-	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-		path[i], path[j] = path[j], path[i]
-	}
-	return path
+	f.heap = h
 }
 
-// bestStarTree implements the star-tree method: every interior qubit is
-// tried as root; the BFS tree branches to the data qubits are merged. The
-// smallest resulting tree wins.
-func bestStarTree(layout *Layout, data []int, interior func(int) bool) *graph.Tree {
-	terminals := map[int]bool{}
-	for _, d := range data {
-		terminals[d] = true
+func (f *finder) pop() nodeDist {
+	h := f.heap
+	top := h[0]
+	h[0] = h[len(h)-1]
+	h = h[:len(h)-1]
+	for i := 0; ; {
+		m := 2*i + 1
+		if m >= len(h) {
+			break
+		}
+		if r := m + 1; r < len(h) && h[r].less(h[m]) {
+			m = r
+		}
+		if !h[m].less(h[i]) {
+			break
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
 	}
-	var best *graph.Tree
-	for q := 0; q < layout.Dev.Len(); q++ {
-		if !interior(q) {
+	f.heap = h
+	return top
+}
+
+// scoreStars implements the star-tree method: every interior qubit q is
+// tried as the root, and its candidate is the union of its search tree's
+// paths to the data qubits. That union is a subtree of the search tree, and
+// terminals are never expanded, so its leaves are exactly the data qubits
+// and its edge count is the number of distinct nodes on the paths other
+// than q.
+func (f *finder) scoreStars() {
+	for _, q := range f.inner {
+		f.search(q)
+		reached := true
+		for _, d := range f.data {
+			reached = reached && f.seen[d] == f.searchEp
+		}
+		if !reached {
 			continue
 		}
-		parent := terminalSearch(layout, q, interior, terminals)
-		paths := make([][]int, 0, len(data))
-		ok := true
-		for _, d := range data {
-			p := pathFromParents(parent, d)
-			if p == nil {
-				ok = false
-				break
+		ep := f.tick()
+		f.mark[q] = ep
+		f.union = f.union[:0]
+		for _, d := range f.data {
+			for v := d; f.mark[v] != ep; v = f.parent[v] {
+				f.mark[v] = ep
+				f.union = append(f.union, v)
 			}
-			paths = append(paths, p)
 		}
-		if !ok {
-			continue
-		}
-		tree, err := graph.PathUnionTree(q, paths...)
-		if err != nil {
-			continue
-		}
-		if !leavesAreExactly(tree, data) {
-			continue
-		}
-		if best == nil || tree.EdgeLen() < best.EdgeLen() {
-			best = tree
-		}
-	}
-	return best
-}
-
-// bestBranchingTree implements the branching-tree method for weight-4
-// stabilizers: connect the closest data-qubit pairs with shortest paths,
-// then join the two paths by a connector path (Algorithm 2 lines 7–12).
-func bestBranchingTree(layout *Layout, data []int, interior func(int) bool) *graph.Tree {
-	terminals := map[int]bool{}
-	for _, d := range data {
-		terminals[d] = true
-	}
-	// Pairwise distances between data qubits through the interior.
-	dist := map[[2]int]int{}
-	paths := map[[2]int][]int{}
-	for _, a := range data {
-		parent := terminalSearch(layout, a, interior, terminals)
-		for _, b := range data {
-			if b == a {
-				continue
-			}
-			if p := pathFromParents(parent, b); p != nil {
-				dist[[2]int{a, b}] = len(p) - 1
-				paths[[2]int{a, b}] = p
+		if f.bestSize < 0 || len(f.union) < f.bestSize {
+			f.bestSize, f.bestRoot = len(f.union), q
+			f.bestEdges = f.bestEdges[:0]
+			for _, v := range f.union {
+				f.bestEdges = append(f.bestEdges, [2]int{v, f.parent[v]})
 			}
 		}
 	}
-	pairings := [][4]int{
-		{data[0], data[1], data[2], data[3]},
-		{data[0], data[2], data[1], data[3]},
-		{data[0], data[3], data[1], data[2]},
+}
+
+// scoreBranchings implements the branching-tree method for weight-4
+// stabilizers: connect a pairing's two data pairs by shortest paths, then
+// join the two paths by a connector (Algorithm 2 lines 7–12). Pairings are
+// tried in order of their paths' total hop count, ties in listing order.
+func (f *finder) scoreBranchings() {
+	// Each pairing takes its paths from the lower-indexed qubit's search,
+	// so the last data qubit never roots one.
+	for a := 0; a < 3; a++ {
+		f.search(f.data[a])
+		for b := a + 1; b < 4; b++ {
+			f.paths[a][b] = f.pathTo(f.paths[a][b][:0], f.data[b])
+		}
 	}
-	sort.Slice(pairings, func(i, j int) bool {
-		return pairingCost(dist, pairings[i]) < pairingCost(dist, pairings[j])
-	})
-	var best *graph.Tree
+	pairings := [3][4]int{{0, 1, 2, 3}, {0, 2, 1, 3}, {0, 3, 1, 2}}
+	var cost [3]int
+	for i, pr := range pairings {
+		cost[i] = f.hops(pr[0], pr[1]) + f.hops(pr[2], pr[3])
+	}
+	for i := 1; i < len(pairings); i++ { // stable insertion sort
+		for j := i; j > 0 && cost[j] < cost[j-1]; j-- {
+			cost[j], cost[j-1] = cost[j-1], cost[j]
+			pairings[j], pairings[j-1] = pairings[j-1], pairings[j]
+		}
+	}
 	for _, pr := range pairings {
-		p1, ok1 := paths[[2]int{pr[0], pr[1]}]
-		p2, ok2 := paths[[2]int{pr[2], pr[3]}]
-		if !ok1 || !ok2 {
+		p1, p2 := f.paths[pr[0]][pr[1]], f.paths[pr[2]][pr[3]]
+		if len(p1) == 0 || len(p2) == 0 {
 			continue
 		}
-		if t := joinPaths(layout, p1, p2, interior, terminals); t != nil {
-			if !leavesAreExactly(t, data) {
-				continue
-			}
-			if best == nil || t.EdgeLen() < best.EdgeLen() {
-				best = t
+		size, hit := f.join(p1, p2)
+		if hit < 0 || (f.bestSize >= 0 && size >= f.bestSize) {
+			continue
+		}
+		f.bestSize = size
+		f.bestEdges = f.bestEdges[:0]
+		for _, p := range [2][]int{p1, p2} {
+			for i := 1; i < len(p); i++ {
+				f.bestEdges = append(f.bestEdges, [2]int{p[i-1], p[i]})
 			}
 		}
+		v := hit
+		for ; f.parent[v] != v; v = f.parent[v] {
+			f.bestEdges = append(f.bestEdges, [2]int{v, f.parent[v]})
+		}
+		f.bestRoot = v
 	}
-	return best
 }
 
-func pairingCost(dist map[[2]int]int, pr [4]int) int {
-	const inf = 1 << 20
-	c := 0
-	if d, ok := dist[[2]int{pr[0], pr[1]}]; ok {
-		c += d
-	} else {
-		c += inf
+// pathTo appends the current search's route from its source to dst onto
+// buf, source first; an unreached dst leaves buf empty.
+func (f *finder) pathTo(buf []int, dst int) []int {
+	if f.seen[dst] != f.searchEp {
+		return buf
 	}
-	if d, ok := dist[[2]int{pr[2], pr[3]}]; ok {
-		c += d
-	} else {
-		c += inf
-	}
-	return c
-}
-
-// joinPaths connects two data-to-data shortest paths into one bridge tree by
-// the shortest connector between their interior nodes. The two paths must
-// not intersect; overlapping pairs are rejected (the star method covers
-// those cases).
-func joinPaths(layout *Layout, p1, p2 []int, interior func(int) bool, terminals map[int]bool) *graph.Tree {
-	onP1 := map[int]bool{}
-	for _, n := range p1 {
-		onP1[n] = true
-	}
-	for _, n := range p2 {
-		if onP1[n] {
-			return nil
+	for v := dst; ; v = f.parent[v] {
+		buf = append(buf, v)
+		if f.parent[v] == v {
+			break
 		}
 	}
-	in1, in2 := interiorNodes(p1, terminals), interiorNodes(p2, terminals)
-	if len(in1) == 0 || len(in2) == 0 {
-		return nil
+	for i, j := 0, len(buf)-1; i < j; i, j = i+1, j-1 {
+		buf[i], buf[j] = buf[j], buf[i]
 	}
-	onP2 := map[int]bool{}
-	for _, n := range p2 {
-		onP2[n] = true
+	return buf
+}
+
+// hops is the hop count of the path between data qubits a and b, or 2^20
+// when they are not connected.
+func (f *finder) hops(a, b int) int {
+	if p := f.paths[a][b]; len(p) > 0 {
+		return len(p) - 1
 	}
-	// Multi-source BFS from p1's interior nodes through interior nodes not
-	// already on either path; stop at p2's interior nodes.
-	g := layout.Dev.Graph()
-	parent := make([]int, layout.Dev.Len())
-	for i := range parent {
-		parent[i] = -1
+	return 1 << 20
+}
+
+// join connects two data-to-data paths by the shortest connector between
+// their bridge nodes: a multi-source BFS from p1's bridge nodes, in path
+// order, through interior nodes on neither path, stopping at the first
+// bridge node of p2 it reaches. It returns that node, whose parent pointers
+// lead back along the connector, and the candidate's size: p1, p2 and the
+// connector have |p1|+|p2|+|connector|−3 edges. Paths that intersect (the
+// star method covers those), paths without bridge nodes, and paths no
+// connector joins yield no candidate, hit -1.
+func (f *finder) join(p1, p2 []int) (size, hit int) {
+	on1, on2 := f.tick(), f.tick()
+	for _, v := range p1 {
+		f.mark[v] = on1
 	}
-	var queue []int
-	for _, n := range in1 {
-		parent[n] = n
-		queue = append(queue, n)
+	bridges2 := 0
+	for _, v := range p2 {
+		if f.mark[v] == on1 {
+			return 0, -1
+		}
+		f.mark[v] = on2
+		if !f.isTerminal(v) {
+			bridges2++
+		}
 	}
-	var hit int = -1
-	for len(queue) > 0 && hit == -1 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, v := range g.Neighbors(u) {
-			if parent[v] != -1 {
-				continue
-			}
-			if onP2[v] {
-				if terminals[v] {
-					continue // cannot attach at a data qubit
-				}
-				parent[v] = u
-				hit = v
-				break
-			}
-			if !interior(v) || onP1[v] {
-				continue
-			}
-			parent[v] = u
+	ep := f.tick()
+	queue := f.queue[:0]
+	for _, v := range p1 {
+		if !f.isTerminal(v) {
+			f.seen[v], f.parent[v] = ep, v
 			queue = append(queue, v)
 		}
 	}
-	if hit == -1 {
-		return nil
+	hit = -1
+	if len(queue) > 0 && bridges2 > 0 {
+		for head := 0; head < len(queue) && hit < 0; head++ {
+			u := queue[head]
+			for _, v := range f.g.Neighbors(u) {
+				if f.seen[v] == ep {
+					continue
+				}
+				if f.mark[v] == on2 {
+					if f.isTerminal(v) {
+						continue // cannot attach at a data qubit
+					}
+					f.seen[v], f.parent[v] = ep, u
+					hit = v
+					break
+				}
+				if f.interior[v] != f.inEp || f.mark[v] == on1 {
+					continue
+				}
+				f.seen[v], f.parent[v] = ep, u
+				queue = append(queue, v)
+			}
+		}
 	}
-	connector := pathFromParents(parent, hit)
-	root := connector[0]
-	tree, err := graph.PathUnionTree(root, p1, p2, connector)
+	f.queue = queue
+	if hit < 0 {
+		return 0, -1
+	}
+	nodes := 1
+	for v := hit; f.parent[v] != v; v = f.parent[v] {
+		nodes++
+	}
+	return len(p1) + len(p2) + nodes - 3, hit
+}
+
+// winner builds the best candidate's tree and re-roots it once, at the
+// bridge node of least eccentricity (ties toward the smaller id): the root
+// acts as the syndrome qubit, and a central root minimizes the encoding
+// depth.
+func (f *finder) winner() (*graph.Tree, error) {
+	t, err := graph.BuildTree(f.bestRoot, f.bestEdges)
 	if err != nil {
-		return nil
+		return nil, err
 	}
-	return tree
-}
-
-func interiorNodes(path []int, terminals map[int]bool) []int {
-	var out []int
-	for _, n := range path {
-		if !terminals[n] {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
-// leavesAreExactly checks that the tree's leaves are precisely the data
-// qubits and that the tree contains at least one bridge qubit.
-func leavesAreExactly(t *graph.Tree, data []int) bool {
-	leaves := t.Leaves()
-	if len(leaves) != len(data) {
-		return false
-	}
-	set := map[int]bool{}
-	for _, d := range data {
-		set[d] = true
-	}
-	for _, l := range leaves {
-		if !set[l] {
-			return false
-		}
-	}
-	return t.Len() > len(data)
-}
-
-// rerootAtCenter re-roots the tree at the non-data node with minimal
-// eccentricity (ties toward smaller id); the root acts as the syndrome
-// qubit, and a central root minimizes the encoding depth.
-func rerootAtCenter(t *graph.Tree, isData []bool) (*graph.Tree, error) {
-	bestNode, bestEcc := -1, 0
+	center, bestEcc := -1, 0
 	for _, n := range t.Nodes() {
-		if isData[n] {
+		if f.layout.IsData[n] {
 			continue
 		}
-		rr, err := t.Reroot(n)
-		if err != nil {
-			return nil, err
-		}
-		ecc := rr.Height()
-		if bestNode == -1 || ecc < bestEcc {
-			bestNode, bestEcc = n, ecc
+		if ecc := f.eccentricity(t, n); center < 0 || ecc < bestEcc {
+			center, bestEcc = n, ecc
 		}
 	}
-	if bestNode == -1 {
+	if center < 0 {
 		return nil, fmt.Errorf("synth: tree has no bridge qubits")
 	}
-	return t.Reroot(bestNode)
+	return t.Reroot(center)
+}
+
+// eccentricity is the largest distance from n to a node of t, by BFS over
+// the tree's own parent and child links.
+func (f *finder) eccentricity(t *graph.Tree, n int) int {
+	ep := f.tick()
+	f.seen[n], f.dist[n] = ep, 0
+	queue := append(f.queue[:0], n)
+	visit := func(u, v int) {
+		if f.seen[v] != ep {
+			f.seen[v], f.dist[v] = ep, f.dist[u]+1
+			queue = append(queue, v)
+		}
+	}
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
+		for _, v := range t.Children(u) {
+			visit(u, v)
+		}
+		visit(u, t.Parent(u)) // the root is its own parent, already seen
+	}
+	f.queue = queue
+	return f.dist[queue[len(queue)-1]]
 }
 
 // TreeStats summarizes bridge tree sizes for reporting.
