@@ -183,7 +183,7 @@ func benchEstimatePoint(b *testing.B, workers int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	s, err := synth.SynthesizeOnLayout(layout, synth.Options{})
+	s, err := synth.SynthesizeOnLayout(context.Background(), layout, synth.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}

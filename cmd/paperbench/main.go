@@ -16,6 +16,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -274,7 +275,7 @@ func synthHeavySquare() (*synth.Synthesis, error) {
 	if err != nil {
 		return nil, err
 	}
-	return synth.SynthesizeOnLayout(layout, synth.Options{})
+	return synth.SynthesizeOnLayout(context.Background(), layout, synth.Options{})
 }
 
 func printPairs(pairs []paper.CurvePair, err error) error {

@@ -293,7 +293,7 @@ func sweepArch(ctx context.Context, kind device.Kind, m synth.Mode, basis experi
 			}
 			tcd.Noise = noise.BuilderFor(calDev)
 		} else {
-			s, err = synth.SynthesizeOnLayoutContext(ctx, layout, synth.Options{Mode: m})
+			s, err = synth.SynthesizeOnLayout(ctx, layout, synth.Options{Mode: m})
 			if err != nil {
 				return pair, err
 			}

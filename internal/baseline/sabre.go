@@ -299,14 +299,11 @@ func NoiseAdaptiveAllocator(dev *device.Device, distance, trials int, seed int64
 }
 
 // SurfStitchAllocator runs the paper's allocator once per trial (it is
-// deterministic, so validity is all-or-nothing).
+// deterministic, so validity is all-or-nothing). Allocate returns only
+// layouts in which every stabilizer admits a bridge tree.
 func SurfStitchAllocator(dev *device.Device, distance, trials int) AllocationResult {
 	res := AllocationResult{Name: "surf-stitch", Trials: trials}
-	layout, err := synth.Allocate(context.Background(), dev, distance, synth.ModeDefault)
-	if err != nil {
-		return res
-	}
-	if _, err := synth.FindAllTrees(layout); err == nil {
+	if _, err := synth.Allocate(context.Background(), dev, distance, synth.ModeDefault); err == nil {
 		res.Valid = trials
 	}
 	return res

@@ -108,7 +108,7 @@ func synthesizedMemory(t *testing.T, kind device.Kind, d int) *dem.Model {
 	if err != nil {
 		t.Fatalf("allocate %v d=%d: %v", kind, d, err)
 	}
-	s, err := synth.SynthesizeOnLayout(layout, synth.Options{})
+	s, err := synth.SynthesizeOnLayout(context.Background(), layout, synth.Options{})
 	if err != nil {
 		t.Fatalf("synthesize %v d=%d: %v", kind, d, err)
 	}
@@ -137,7 +137,7 @@ func fittedMemory(tb testing.TB, kind device.Kind, d, rounds int) (*synth.Synthe
 	if err != nil {
 		tb.Fatalf("fit %v d=%d: %v", kind, d, err)
 	}
-	s, err := synth.SynthesizeOnLayout(layout, synth.Options{})
+	s, err := synth.SynthesizeOnLayout(context.Background(), layout, synth.Options{})
 	if err != nil {
 		tb.Fatalf("synthesize %v d=%d: %v", kind, d, err)
 	}

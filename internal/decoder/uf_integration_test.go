@@ -28,7 +28,7 @@ func synthesizedNoisyMemory(t *testing.T, kind device.Kind, d int, p float64) (*
 	if err != nil {
 		t.Fatalf("allocate %v d=%d: %v", kind, d, err)
 	}
-	s, err := synth.SynthesizeOnLayout(layout, synth.Options{})
+	s, err := synth.SynthesizeOnLayout(context.Background(), layout, synth.Options{})
 	if err != nil {
 		t.Fatalf("synthesize %v d=%d: %v", kind, d, err)
 	}

@@ -122,7 +122,7 @@ func synthesize(tb testing.TB, kind device.Kind, d int) *synth.Synthesis {
 	if err != nil {
 		tb.Fatalf("allocate %v d=%d: %v", kind, d, err)
 	}
-	s, err := synth.SynthesizeOnLayout(layout, synth.Options{})
+	s, err := synth.SynthesizeOnLayout(context.Background(), layout, synth.Options{})
 	if err != nil {
 		tb.Fatalf("synthesize %v d=%d: %v", kind, d, err)
 	}

@@ -1,6 +1,7 @@
 package distance_test
 
 import (
+	"context"
 	"math/bits"
 	"math/rand"
 	"surfstitch/internal/distance"
@@ -224,7 +225,7 @@ func memoryDEM(t *testing.T, kind device.Kind, d, rounds int) *dem.Model {
 	if err != nil {
 		t.Fatalf("%v d=%d: fit: %v", kind, d, err)
 	}
-	s, err := synth.SynthesizeOnLayout(layout, synth.Options{})
+	s, err := synth.SynthesizeOnLayout(context.Background(), layout, synth.Options{})
 	if err != nil {
 		t.Fatalf("%v d=%d: synthesize: %v", kind, d, err)
 	}

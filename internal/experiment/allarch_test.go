@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"testing"
 
 	"surfstitch/internal/device"
@@ -19,7 +20,7 @@ func TestDistance5MemoryAllArchitectures(t *testing.T) {
 			t.Errorf("%v: %v", kind, err)
 			continue
 		}
-		s, err := synth.SynthesizeOnLayout(layout, synth.Options{})
+		s, err := synth.SynthesizeOnLayout(context.Background(), layout, synth.Options{})
 		if err != nil {
 			t.Errorf("%v: %v", kind, err)
 			continue

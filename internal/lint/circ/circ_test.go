@@ -1,6 +1,7 @@
 package circ_test
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -181,7 +182,7 @@ func TestAcceptsSynthesizedMemories(t *testing.T) {
 				if err != nil {
 					t.Fatalf("fit: %v", err)
 				}
-				s, err := synth.SynthesizeOnLayout(layout, synth.Options{})
+				s, err := synth.SynthesizeOnLayout(context.Background(), layout, synth.Options{})
 				if err != nil {
 					t.Fatalf("synthesize: %v", err)
 				}

@@ -1,6 +1,7 @@
 package paper
 
 import (
+	"context"
 	"fmt"
 
 	"surfstitch/internal/decoder"
@@ -33,11 +34,11 @@ func AblationTreeMethod() (AblationResult, error) {
 	if err != nil {
 		return res, err
 	}
-	both, err := synth.SynthesizeOnLayout(layout, synth.Options{})
+	both, err := synth.SynthesizeOnLayout(context.Background(), layout, synth.Options{})
 	if err != nil {
 		return res, err
 	}
-	starOnly, err := synth.SynthesizeOnLayout(layout, synth.Options{StarOnlyTrees: true})
+	starOnly, err := synth.SynthesizeOnLayout(context.Background(), layout, synth.Options{StarOnlyTrees: true})
 	if err != nil {
 		return res, err
 	}

@@ -114,12 +114,11 @@ func (cs CodeSpec) Build(distance int) (*synth.Synthesis, error) {
 // BuildContext is Build bounded by a context; synthesis-stage spans record
 // into the context's registry and tracer.
 func (cs CodeSpec) BuildContext(ctx context.Context, distance int) (*synth.Synthesis, error) {
-	dev, layout, err := synth.FitDevice(cs.Kind, distance, cs.Mode)
+	_, layout, err := synth.FitDevice(cs.Kind, distance, cs.Mode)
 	if err != nil {
 		return nil, fmt.Errorf("paper: %s d=%d: %w", cs.Name, distance, err)
 	}
-	_ = dev
-	return synth.SynthesizeOnLayoutContext(ctx, layout, synth.Options{Mode: cs.Mode})
+	return synth.SynthesizeOnLayout(ctx, layout, synth.Options{Mode: cs.Mode})
 }
 
 // memoryInput assembles a Z-memory with 3d rounds for threshold runs.
@@ -281,7 +280,7 @@ func Table3() ([]Table3Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		s, err := synth.SynthesizeOnLayout(layout, synth.Options{Mode: spec.Mode})
+		s, err := synth.SynthesizeOnLayout(context.Background(), layout, synth.Options{Mode: spec.Mode})
 		if err != nil {
 			return nil, err
 		}

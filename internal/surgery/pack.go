@@ -70,9 +70,11 @@ func (j Joint) StabType() code.StabType {
 // and every merged seam lattice must instantiate under one shared affine
 // basis, and every stabilizer of every lattice must admit a local bridge
 // tree that avoids all other patches' data and all seam corridors. The
-// search reuses the allocator's candidate ladder (bridge-rectangle anchors ×
-// lattice bases); within an anchor the best-scoring feasible base wins, and
-// the first feasible anchor wins overall, mirroring Allocate.
+// search walks the allocator's placement ladder (synth.Place: bridge-rectangle
+// anchors × lattice bases × base positions), scoring a candidate by the sum
+// of its lattices' allocation scores; within an anchor the best-scoring
+// feasible base wins, and the first feasible anchor wins overall, as in
+// Allocate.
 //
 // A one-patch spec with no ops delegates to synth.Synthesize so the
 // single-patch path stays bit-identical to the legacy pipeline.
@@ -113,61 +115,18 @@ func Pack(ctx context.Context, dev *device.Device, spec Spec, opts synth.Options
 		}
 		mergedCodes[i] = mc
 	}
-
-	rects := synth.BridgeRectangles(dev, opts.Mode)
-	if len(rects) == 0 {
-		return nil, &synth.PlacementError{
-			Device: dev.Name(), Distance: d, Mode: opts.Mode,
-			Reason: "no high-degree qubits to anchor bridge rectangles",
-		}
-	}
-	anchors := len(rects)
-	if limit := synth.MaxAnchorCandidates(); anchors > limit {
-		anchors = limit
-	}
-	lattices := 0
-	for i := 0; i < anchors; i++ {
-		if err := ctx.Err(); err != nil {
-			return nil, &synth.BudgetError{Stage: "pack", Cause: err}
-		}
-		best, tried := packFromAnchor(ctx, dev, ns, opts, sq, mergedCodes, rects[i])
-		lattices += tried
-		if best != nil {
-			return best, nil
-		}
-	}
-	return nil, &synth.PlacementError{
-		Device: dev.Name(), Distance: d, Mode: opts.Mode,
-		Anchors: anchors, Lattices: lattices,
-		Reason: fmt.Sprintf("no feasible base packs %d patches and %d seams under any anchor",
+	return synth.Place(ctx, synth.Ladder[*Placement]{
+		Dev: dev, Distance: d, Mode: opts.Mode, Stage: "pack",
+		Exhausted: fmt.Sprintf("no feasible base packs %d patches and %d seams under any anchor",
 			len(ns.Patches), len(ns.Ops)),
-	}
-}
-
-// packFromAnchor evaluates every lattice candidate against one anchor
-// rectangle and returns the best-scoring feasible placement, or nil. The
-// second return counts lattices examined.
-func packFromAnchor(ctx context.Context, dev *device.Device, spec Spec, opts synth.Options, sq *code.Code, mergedCodes []*code.Code, anchor grid.Rect) (*Placement, int) {
-	const maxPeriod = 4
-	var best *Placement
-	cands := synth.LatticeCandidates(opts.Mode, maxPeriod)
-	for _, uv := range cands {
-		if ctx.Err() != nil {
-			break
-		}
-		u, v := uv[0], uv[1]
-		for _, base := range synth.BaseCandidates(dev, anchor, u, v) {
-			cand := packAt(ctx, dev, spec, opts, sq, mergedCodes, base, u, v)
-			if cand == nil {
-				continue
+		Try: func(base, u, v grid.Coord) (*Placement, int, bool) {
+			p := packAt(ctx, dev, ns, opts, sq, mergedCodes, base, u, v)
+			if p == nil {
+				return nil, 0, false
 			}
-			if best == nil || cand.Score < best.Score {
-				best = cand
-			}
-			break // one feasible base per lattice candidate
-		}
-	}
-	return best, len(cands)
+			return p, p.Score, true
+		},
+	})
 }
 
 // packAt attempts the full placement at one affine basis: instantiate every
@@ -220,23 +179,21 @@ func packAt(ctx context.Context, dev *device.Device, spec Spec, opts synth.Optio
 		markReserved(l, reserved)
 	}
 
-	sopts := opts
-	sopts.Degrade = false
 	out := &Placement{
 		Dev: dev, Spec: spec, Base: base, U: u, V: v,
 		Patches: make([]*synth.Synthesis, len(spec.Patches)),
 		Merges:  make([]*Merge, len(spec.Ops)),
 	}
 	for i, l := range patchLayouts {
-		s, err := synth.SynthesizeOnLayoutContext(ctx, l, sopts)
+		s, err := synth.SynthesizeOnLayout(ctx, l, opts)
 		if err != nil {
 			return nil
 		}
 		out.Patches[i] = s
-		out.Score += layoutScore(s)
+		out.Score += synth.Score(s.Layout, s.Trees)
 	}
 	for i, l := range mergeLayouts {
-		s, err := synth.SynthesizeOnLayoutContext(ctx, l, sopts)
+		s, err := synth.SynthesizeOnLayout(ctx, l, opts)
 		if err != nil {
 			return nil
 		}
@@ -245,7 +202,7 @@ func packAt(ctx context.Context, dev *device.Device, spec Spec, opts synth.Optio
 			return nil
 		}
 		out.Merges[i] = m
-		out.Score += layoutScore(s)
+		out.Score += synth.Score(s.Layout, s.Trees)
 	}
 	return out
 }
@@ -258,17 +215,6 @@ func markReserved(l *synth.Layout, reserved []bool) {
 			l.IsData[q] = true
 		}
 	}
-}
-
-// layoutScore applies the allocator's quality metric to one synthesis.
-func layoutScore(s *synth.Synthesis) int {
-	score := 0
-	for _, t := range s.Trees {
-		if t != nil {
-			score += t.EdgeLen()
-		}
-	}
-	return score + synth.HookPenaltyWeight*synth.VerticalXHookPairs(s.Layout, s.Trees)
 }
 
 // newMerge attributes every merged stabilizer to a patch or to the seam and

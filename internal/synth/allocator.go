@@ -98,14 +98,22 @@ func LayoutFromMapping(dev *device.Device, c *code.Code, dataQubits []int) (*Lay
 		}
 		layout.IsData[q] = true
 	}
-	for _, s := range c.Stabilizers() {
+	layout.Rects = stabilizerRects(dev, c, layout.DataQubit)
+	return layout, nil
+}
+
+// stabilizerRects returns each stabilizer's syndrome rectangle: the
+// smallest rectangle around its data qubits' device coordinates.
+func stabilizerRects(dev *device.Device, c *code.Code, dataQubits []int) []grid.Rect {
+	rects := make([]grid.Rect, len(c.Stabilizers()))
+	for si, s := range c.Stabilizers() {
 		pts := make([]grid.Coord, len(s.Data))
 		for i, dq := range s.Data {
 			pts[i] = dev.Coord(dataQubits[dq])
 		}
-		layout.Rects = append(layout.Rects, grid.RectAround(pts...))
+		rects[si] = grid.RectAround(pts...)
 	}
-	return layout, nil
+	return rects
 }
 
 // BridgeRectangles implements lines 1–11 of Algorithm 1: one minimal
@@ -199,11 +207,92 @@ func latticeCandidates(mode Mode, maxPeriod int) [][2]grid.Coord {
 // otherwise doom the whole allocation).
 const maxAnchorRetries = 12
 
+// maxPeriod bounds the lattice periods the placement search tries.
+const maxPeriod = 4
+
+// Ladder describes one placement search: the walk of Algorithm 1 over
+// bridge-rectangle anchors, lattice bases (U, V) and base positions that
+// Allocate, AllocateRelaxed and surgery.Pack share. The caller supplies how
+// to place and score one candidate; Place supplies the walk.
+type Ladder[T any] struct {
+	Dev      *device.Device
+	Distance int
+	Mode     Mode
+	// Stage names the search in the BudgetError of a canceled context.
+	Stage string
+	// EveryAnchor scans every permitted anchor and keeps the overall best
+	// candidate. Otherwise the first anchor with a feasible candidate ends
+	// the search.
+	EveryAnchor bool
+	// Exhausted is the PlacementError reason when no candidate is feasible.
+	Exhausted string
+	// Try places the candidate whose abstract data (r, c) sits at device
+	// coordinate base + c·u + r·v and scores it, lower being better; ok is
+	// false when the candidate is infeasible.
+	Try func(base, u, v grid.Coord) (cand T, score int, ok bool)
+}
+
+// Place walks the ladder. The anchors are the device's bridge rectangles:
+// the canonical top-left one and at most maxAnchorRetries more (stage 1 of
+// the degradation ladder). Under each anchor every lattice basis is tried,
+// smallest cell first, and the first feasible base of a basis is its
+// candidate. A candidate replaces the best only with a strictly lower
+// score, so the earliest wins ties. The context is checked before each
+// anchor, where cancellation returns a BudgetError, and before each basis,
+// where it ends the anchor.
+func Place[T any](ctx context.Context, l Ladder[T]) (T, error) {
+	var best T
+	rects := BridgeRectangles(l.Dev, l.Mode)
+	if len(rects) == 0 {
+		return best, &PlacementError{
+			Device: l.Dev.Name(), Distance: l.Distance, Mode: l.Mode,
+			Reason: fmt.Sprintf("no degree-%d qubits to anchor bridge rectangles", 3+int(l.Mode)),
+		}
+	}
+	anchors := min(len(rects), 1+maxAnchorRetries)
+	uvs := latticeCandidates(l.Mode, maxPeriod)
+	found, bestScore, lattices := false, 0, 0
+	for _, anchor := range rects[:anchors] {
+		if err := ctx.Err(); err != nil {
+			var none T
+			return none, &BudgetError{Stage: l.Stage, Cause: err}
+		}
+		lattices += len(uvs)
+		for _, uv := range uvs {
+			if ctx.Err() != nil {
+				break
+			}
+			for _, base := range baseCandidates(l.Dev, anchor, uv[0], uv[1]) {
+				cand, score, ok := l.Try(base, uv[0], uv[1])
+				if !ok {
+					continue
+				}
+				if !found || score < bestScore {
+					best, bestScore, found = cand, score, true
+				}
+				break // one feasible base per lattice basis
+			}
+		}
+		if found && !l.EveryAnchor {
+			break
+		}
+	}
+	if !found {
+		return best, &PlacementError{
+			Device: l.Dev.Name(), Distance: l.Distance, Mode: l.Mode,
+			Anchors: anchors, Lattices: lattices, Reason: l.Exhausted,
+		}
+	}
+	return best, nil
+}
+
 // Allocate runs data qubit allocation for a distance-d rotated surface code
 // on the device. It searches the periodic lattices anchored by the device's
-// bridge rectangles (Algorithm 1) and returns the first layout for which
-// every stabilizer admits a local bridge tree (verified with Algorithm 2's
-// tree finder).
+// bridge rectangles (Algorithm 1) and returns the best-scoring layout of
+// the first anchor under which every stabilizer of some lattice admits a
+// local bridge tree (verified with Algorithm 2's tree finder). Scoring
+// every lattice rather than taking the first feasible one keeps sparse
+// lattices rescued by oversized fallback trees from winning.
 //
 // On a pristine device the search behaves exactly as Algorithm 1: only the
 // top-left bridge rectangle anchors the lattice. When that anchor admits no
@@ -214,37 +303,7 @@ const maxAnchorRetries = 12
 // The context cancels the search between anchor evaluations; a canceled
 // search returns a BudgetError (ErrBudgetExceeded).
 func Allocate(ctx context.Context, dev *device.Device, d int, mode Mode) (*Layout, error) {
-	c, err := code.NewRotated(d)
-	if err != nil {
-		return nil, err
-	}
-	rects := BridgeRectangles(dev, mode)
-	if len(rects) == 0 {
-		return nil, &PlacementError{
-			Device: dev.Name(), Distance: d, Mode: mode,
-			Reason: fmt.Sprintf("no degree-%d qubits to anchor bridge rectangles", 3+int(mode)),
-		}
-	}
-	anchors := len(rects)
-	if anchors > 1+maxAnchorRetries {
-		anchors = 1 + maxAnchorRetries
-	}
-	lattices := 0
-	for i := 0; i < anchors; i++ {
-		if err := ctx.Err(); err != nil {
-			return nil, &BudgetError{Stage: "allocate", Cause: err}
-		}
-		best, tried := allocateFromAnchor(ctx, dev, c, mode, rects[i])
-		lattices += tried
-		if best != nil {
-			return best, nil
-		}
-	}
-	return nil, &PlacementError{
-		Device: dev.Name(), Distance: d, Mode: mode,
-		Anchors: anchors, Lattices: lattices,
-		Reason: "no feasible lattice base under any anchor",
-	}
+	return allocate(ctx, dev, d, mode, false)
 }
 
 // AllocateRelaxed is the placement fallback of the degradation ladder: when
@@ -252,146 +311,67 @@ func Allocate(ctx context.Context, dev *device.Device, d int, mode Mode) (*Layou
 // anchor search accepting layouts with unroutable stabilizers, returning the
 // one that strands the fewest (bridge-tree size and hook penalties break
 // ties). At least one stabilizer must route; otherwise ErrNoPlacement.
+// The relaxed search scans every permitted anchor and keeps the overall
+// best rather than stopping at the first hit: once stabilizers are being
+// sacrificed, which anchor strands fewest is not monotone in anchor order.
 //
 // SynthesizeDegraded calls this automatically — Synthesize never does, so
 // the strict pipeline's failure semantics are unchanged.
 func AllocateRelaxed(ctx context.Context, dev *device.Device, d int, mode Mode) (*Layout, error) {
-	c, err := code.NewRotated(d)
-	if err != nil {
-		return nil, err
-	}
-	rects := BridgeRectangles(dev, mode)
-	if len(rects) == 0 {
-		return nil, &PlacementError{
-			Device: dev.Name(), Distance: d, Mode: mode,
-			Reason: fmt.Sprintf("no degree-%d qubits to anchor bridge rectangles", 3+int(mode)),
-		}
-	}
-	anchors := len(rects)
-	if anchors > 1+maxAnchorRetries {
-		anchors = 1 + maxAnchorRetries
-	}
-	// The relaxed search scans every permitted anchor and keeps the global
-	// best rather than stopping at the first hit: once stabilizers are being
-	// sacrificed, which anchor strands fewest is not monotone in anchor order.
-	var best *Layout
-	lattices := 0
-	for i := 0; i < anchors; i++ {
-		if err := ctx.Err(); err != nil {
-			return nil, &BudgetError{Stage: "allocate", Cause: err}
-		}
-		cand, tried := allocateFromAnchorRelaxed(ctx, dev, c, mode, rects[i])
-		lattices += tried
-		if cand != nil && (best == nil || cand.Score < best.Score) {
-			best = cand
-		}
-	}
-	if best == nil {
-		return nil, &PlacementError{
-			Device: dev.Name(), Distance: d, Mode: mode,
-			Anchors: anchors, Lattices: lattices,
-			Reason: "no lattice routes even a partial stabilizer set under any anchor",
-		}
-	}
-	return best, nil
+	return allocate(ctx, dev, d, mode, true)
 }
 
 // droppedPenalty dominates the relaxed allocation score so that stranding
 // one more stabilizer is never worth any tree-size or hook improvement.
 const droppedPenalty = 100000
 
-// allocateFromAnchorRelaxed mirrors allocateFromAnchor with the degradation
-// ladder armed: layouts with unroutable stabilizers are admitted and scored
-// by dropped count first, compactness second.
-func allocateFromAnchorRelaxed(ctx context.Context, dev *device.Device, c *code.Code, mode Mode, anchor grid.Rect) (*Layout, int) {
-	bounds := dev.Bounds()
-	const maxPeriod = 4
-	var best *Layout
-	bestScore := 0
-	cands := latticeCandidates(mode, maxPeriod)
-	for _, uv := range cands {
-		if ctx.Err() != nil {
-			break
-		}
-		u, v := uv[0], uv[1]
-		for _, base := range baseCandidates(dev, anchor, u, v) {
-			layout, ok := tryLattice(dev, c, mode, base, u, v, bounds)
-			if !ok {
-				continue
-			}
-			trees, dropped, err := findAllTrees(layout, false, true)
-			if err != nil {
-				continue
-			}
-			if len(dropped) >= len(trees) {
-				continue // nothing routes: not a placement, keep searching
-			}
-			score := droppedPenalty * len(dropped)
-			for _, t := range trees {
-				if t != nil {
-					score += t.EdgeLen()
-				}
-			}
-			score += 500 * verticalXHookPairs(layout, trees)
-			if best == nil || score < bestScore {
-				layout.Score = score
-				best, bestScore = layout, score
-			}
-			break // one feasible base per lattice candidate
-		}
+// allocate is Allocate, or AllocateRelaxed when relaxed is set. Every
+// candidate's tree pass runs on one finder, so the device's hop prices are
+// compiled once per search.
+func allocate(ctx context.Context, dev *device.Device, d int, mode Mode, relaxed bool) (*Layout, error) {
+	c, err := code.NewRotated(d)
+	if err != nil {
+		return nil, err
 	}
-	return best, len(cands)
+	exhausted := "no feasible lattice base under any anchor"
+	if relaxed {
+		exhausted = "no lattice routes even a partial stabilizer set under any anchor"
+	}
+	f := newFinder(dev)
+	return Place(ctx, Ladder[*Layout]{
+		Dev: dev, Distance: d, Mode: mode, Stage: "allocate",
+		EveryAnchor: relaxed, Exhausted: exhausted,
+		Try: func(base, u, v grid.Coord) (*Layout, int, bool) {
+			layout, ok := InstantiateLattice(dev, c, mode, base, u, v)
+			if !ok {
+				return nil, 0, false
+			}
+			trees, dropped, err := f.allTrees(layout, false, relaxed)
+			if err != nil || len(dropped) == len(trees) {
+				return nil, 0, false // nothing routes: not a placement
+			}
+			layout.Score = Score(layout, trees) + droppedPenalty*len(dropped)
+			return layout, layout.Score, true
+		},
+	})
 }
 
-// allocateFromAnchor evaluates every lattice candidate against one anchor
-// rectangle (line 12 of Alg. 1 generalized) and returns the best-scoring
-// feasible layout, or nil. The second return counts lattices examined.
-func allocateFromAnchor(ctx context.Context, dev *device.Device, c *code.Code, mode Mode, anchor grid.Rect) (*Layout, int) {
-	bounds := dev.Bounds()
-	// Evaluate one feasible base per lattice candidate and keep the layout
-	// with the smallest total bridge-tree size (compactness tiebreak). A
-	// pure first-feasible rule would accept sparse lattices rescued by
-	// oversized fallback trees.
-	const maxPeriod = 4
-	var best *Layout
-	bestScore := 0
-	cands := latticeCandidates(mode, maxPeriod)
-	for _, uv := range cands {
-		if ctx.Err() != nil {
-			break
-		}
-		u, v := uv[0], uv[1]
-		// Candidate bases: qubit coordinates within one lattice cell of the
-		// anchor rectangle's top-left corner.
-		for _, base := range baseCandidates(dev, anchor, u, v) {
-			layout, ok := tryLattice(dev, c, mode, base, u, v, bounds)
-			if !ok {
-				continue
-			}
-			trees, err := FindAllTrees(layout)
-			if err != nil {
-				continue
-			}
-			score := 0
-			for _, t := range trees {
-				score += t.EdgeLen()
-			}
-			// Hook-orientation penalty: a bridge leaf of an X-type tree that
-			// couples two data qubits of the same abstract column turns a
-			// single hook fault into a vertical weight-2 X error — aligned
-			// with the logical X operator — halving the code's effective
-			// distance against the Pauli-X errors the paper's evaluation
-			// measures. Such layouts are heavily penalized so that a
-			// transposed orientation (horizontal, benign hooks) wins.
-			score += 500 * verticalXHookPairs(layout, trees)
-			if best == nil || score < bestScore {
-				layout.Score = score
-				best, bestScore = layout, score
-			}
-			break // one feasible base per lattice candidate
+// Score is the allocation quality metric of a layout routed by the given
+// trees (nil where a stabilizer is dropped): the total size of the trees
+// plus a hook-orientation penalty, lower being better. A bridge leaf of an
+// X-type tree that couples two data qubits of the same abstract column
+// turns a single hook fault into a vertical weight-2 X error — aligned with
+// the logical X operator — halving the code's effective distance against
+// the Pauli-X errors the paper's evaluation measures. Each such pair costs
+// 500, so that a transposed orientation (horizontal, benign hooks) wins.
+func Score(layout *Layout, trees []*graph.Tree) int {
+	score := 0
+	for _, t := range trees {
+		if t != nil {
+			score += t.EdgeLen()
 		}
 	}
-	return best, len(cands)
+	return score + 500*verticalXHookPairs(layout, trees)
 }
 
 // baseCandidates lists plausible positions for abstract data qubit (0,0):
@@ -422,9 +402,20 @@ func baseCandidates(dev *device.Device, anchor grid.Rect, u, v grid.Coord) []gri
 	return out
 }
 
-// tryLattice instantiates the affine data lattice and the syndrome
-// rectangles; it fails fast when any lattice point misses a qubit.
-func tryLattice(dev *device.Device, c *code.Code, mode Mode, base, u, v grid.Coord, bounds grid.Rect) (*Layout, bool) {
+// InstantiateLattice realizes code c on the device under the affine
+// embedding (base, u, v): data (r, cl) at base + cl*u + r*v, with each
+// stabilizer's syndrome rectangle. It returns nil, false when any lattice
+// point misses a device qubit, and checks every point before it allocates:
+// most candidate bases fail.
+func InstantiateLattice(dev *device.Device, c *code.Code, mode Mode, base, u, v grid.Coord) (*Layout, bool) {
+	at := func(r, cl int) grid.Coord { return base.Add(u.Scale(cl)).Add(v.Scale(r)) }
+	for r := 0; r < c.Rows(); r++ {
+		for cl := 0; cl < c.Cols(); cl++ {
+			if _, ok := dev.QubitAt(at(r, cl)); !ok {
+				return nil, false
+			}
+		}
+	}
 	layout := &Layout{
 		Dev: dev, Code: c, Mode: mode,
 		Base: base, U: u, V: v,
@@ -433,34 +424,13 @@ func tryLattice(dev *device.Device, c *code.Code, mode Mode, base, u, v grid.Coo
 	}
 	for r := 0; r < c.Rows(); r++ {
 		for cl := 0; cl < c.Cols(); cl++ {
-			pos := layout.DataCoord(r, cl)
-			if !bounds.Contains(pos) {
-				return nil, false
-			}
-			q, ok := dev.QubitAt(pos)
-			if !ok {
-				return nil, false
-			}
+			q, _ := dev.QubitAt(at(r, cl))
 			layout.DataQubit[c.DataIndex(r, cl)] = q
 			layout.IsData[q] = true
 		}
 	}
-	for _, s := range c.Stabilizers() {
-		pts := make([]grid.Coord, len(s.Data))
-		for i, dq := range s.Data {
-			pts[i] = dev.Coord(layout.DataQubit[dq])
-		}
-		layout.Rects = append(layout.Rects, grid.RectAround(pts...))
-	}
+	layout.Rects = stabilizerRects(dev, c, layout.DataQubit)
 	return layout, true
-}
-
-// verifyTrees checks that every stabilizer admits a local bridge tree under
-// the sequential same-type allocation discipline (trees of equal type must
-// not share qubits). It is the acceptance test of the allocation search.
-func verifyTrees(layout *Layout) error {
-	_, err := FindAllTrees(layout)
-	return err
 }
 
 // verticalXHookPairs counts bridge leaves of X-type trees whose coupled

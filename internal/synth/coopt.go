@@ -88,30 +88,15 @@ func coOptimizeOnce(s *Synthesis) (*Synthesis, error) {
 			// Rebuild the synthesis with the new tree and reschedule.
 			trees := append([]*graph.Tree(nil), s.Trees...)
 			trees[si] = newTree
-			candidate, err := rebuild(layout, trees)
+			candidate, err := planTrees(layout, trees, nil, false)
 			if err != nil {
 				continue
 			}
+			candidate.Schedule = BestSchedule(candidate.Plans)
 			if synthCost(candidate) < base {
 				return candidate, nil
 			}
 		}
 	}
 	return nil, nil
-}
-
-// rebuild reconstructs plans and schedule from a tree assignment.
-func rebuild(layout *Layout, trees []*graph.Tree) (*Synthesis, error) {
-	plans := make([]*flagbridge.Plan, len(trees))
-	for si, tree := range trees {
-		p, err := flagbridge.NewPlan(layout.Code.Stabilizers()[si].Type, tree, layout.Directions(si))
-		if err != nil {
-			return nil, err
-		}
-		plans[si] = p
-	}
-	return &Synthesis{
-		Layout: layout, Trees: trees, Plans: plans,
-		Schedule: BestSchedule(plans),
-	}, nil
 }

@@ -2,12 +2,10 @@ package synth
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"surfstitch/internal/code"
 	"surfstitch/internal/device"
-	"surfstitch/internal/flagbridge"
 	"surfstitch/internal/obs"
 )
 
@@ -63,96 +61,54 @@ func SynthesizeDegraded(ctx context.Context, dev *device.Device, distance int, o
 	ctx, span := obs.StartSpan(ctx, "synth.degraded")
 	span.SetAttr("distance", distance)
 	defer span.End()
-	reg := obs.RegistryFromContext(ctx)
-	reg.Counter("synth_degraded_runs_total").Inc()
-	layout, err := allocateSpan(ctx, dev, distance, opts.Mode)
-	if err != nil {
-		// Stage 3 of the ladder: no fully-routable placement exists, so
-		// re-search accepting layouts that strand stabilizers. Budget and
-		// construction errors pass through untouched.
-		if !errors.Is(err, ErrNoPlacement) {
-			return nil, err
-		}
-		reg.Counter("synth_ladder_relaxed_total").Inc()
-		layout, err = AllocateRelaxed(ctx, dev, distance, opts.Mode)
-		if err != nil {
-			return nil, err
-		}
-	}
-	trees, droppedErrs, err := findAllTrees(layout, opts.StarOnlyTrees, true)
+	obs.RegistryFromContext(ctx).Counter("synth_degraded_runs_total").Inc()
+	layout, err := allocateSpan(ctx, dev, distance, opts.Mode, true)
 	if err != nil {
 		return nil, err
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, &BudgetError{Stage: "trees", Cause: err}
-	}
-	stabs := layout.Code.Stabilizers()
-	plans := make([]*flagbridge.Plan, len(trees))
-	for si, tree := range trees {
-		if tree == nil {
+	opts.Degrade = true
+	return SynthesizeOnLayout(ctx, layout, opts)
+}
+
+// newDegradation accounts for the dropped stabilizers of code c: per-type
+// retained and total counts and the surviving distance. A code left blind
+// in one basis (no retained X or no retained Z check) cannot be rescued;
+// the first dropped stabilizer's error is returned instead.
+func newDegradation(c *code.Code, dropped map[int]error) (*Degradation, error) {
+	stabs := c.Stabilizers()
+	dg := &Degradation{}
+	droppedX, droppedZ := 0, 0
+	for si, st := range stabs {
+		if st.Type == code.StabX {
+			dg.TotalX++
+		} else {
+			dg.TotalZ++
+		}
+		derr, gone := dropped[si]
+		if !gone {
 			continue
 		}
-		p, perr := flagbridge.NewPlan(stabs[si].Type, tree, layout.Directions(si))
-		if perr != nil {
-			// A tree the planner cannot schedule is as lost as an unroutable
-			// one: sacrifice the stabilizer rather than fail the synthesis.
-			trees[si] = nil
-			if droppedErrs == nil {
-				droppedErrs = map[int]error{}
-			}
-			droppedErrs[si] = perr
-			continue
-		}
-		plans[si] = p
-	}
-	out := &Synthesis{Layout: layout, Trees: trees, Plans: plans}
-	if len(droppedErrs) > 0 {
-		dg := &Degradation{EffectiveDistance: distance}
-		droppedX, droppedZ := 0, 0
-		for si, st := range stabs {
-			if st.Type == code.StabX {
-				dg.TotalX++
-			} else {
-				dg.TotalZ++
-			}
-			derr, gone := droppedErrs[si]
-			if !gone {
-				continue
-			}
-			dg.Dropped = append(dg.Dropped, DroppedStab{
-				Index: si, Type: st.Type, Weight: st.Weight(), Reason: derr.Error(),
-			})
-			if st.Type == code.StabX {
-				droppedX++
-			} else {
-				droppedZ++
-			}
-		}
-		dg.RetainedX = dg.TotalX - droppedX
-		dg.RetainedZ = dg.TotalZ - droppedZ
-		if dg.RetainedX == 0 || dg.RetainedZ == 0 {
-			// Blind in one basis: degradation cannot rescue this device.
-			for si := range stabs {
-				if derr, gone := droppedErrs[si]; gone {
-					return nil, derr
-				}
-			}
-		}
-		dg.EffectiveDistance = effectiveDistance(layout.Code, func(si int) bool {
-			_, gone := droppedErrs[si]
-			return !gone
+		dg.Dropped = append(dg.Dropped, DroppedStab{
+			Index: si, Type: st.Type, Weight: st.Weight(), Reason: derr.Error(),
 		})
-		out.Degradation = dg
-		reg.Counter("synth_dropped_stabilizers_total").Add(int64(len(dg.Dropped)))
+		if st.Type == code.StabX {
+			droppedX++
+		} else {
+			droppedZ++
+		}
 	}
-	retained := out.RetainedPlans()
-	sched := InitialSchedule(retained)
-	if !opts.NoRefine {
-		sched = BestSchedule(retained)
+	dg.RetainedX = dg.TotalX - droppedX
+	dg.RetainedZ = dg.TotalZ - droppedZ
+	if dg.RetainedX == 0 || dg.RetainedZ == 0 {
+		for si := range stabs {
+			if derr, gone := dropped[si]; gone {
+				return nil, derr
+			}
+		}
 	}
-	out.Schedule = sched
-	if opts.CoOptimize && out.Degradation == nil {
-		return CoOptimize(ctx, out)
-	}
-	return out, nil
+	dg.EffectiveDistance = effectiveDistance(c, func(si int) bool {
+		_, gone := dropped[si]
+		return !gone
+	})
+	return dg, nil
 }

@@ -109,9 +109,9 @@ func droppedKeys(m map[int]error) []int {
 // matchReference compares the tree pass with the reference on one layout:
 // the same error outcome, the same dropped stabilizers, and the same root
 // and edges for every tree.
-func matchReference(t *testing.T, name string, layout *Layout, starOnly, degrade bool) {
+func matchReference(t *testing.T, name string, f *finder, layout *Layout, starOnly, degrade bool) {
 	t.Helper()
-	got, gotDropped, gotErr := findAllTrees(layout, starOnly, degrade)
+	got, gotDropped, gotErr := f.allTrees(layout, starOnly, degrade)
 	want, wantDropped, wantErr := referenceFindAllTrees(layout, starOnly, degrade)
 	if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
 		t.Fatalf("%s: error %v, want %v", name, gotErr, wantErr)
@@ -153,20 +153,22 @@ func TestFindAllTreesMatchesReference(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				// One finder serves every lattice, as in Allocate.
+				f := newFinder(c.dev)
 				anchor := BridgeRectangles(c.dev, ModeDefault)[0]
 				for _, uv := range latticeCandidates(ModeDefault, 4) {
 					for _, base := range baseCandidates(c.dev, anchor, uv[0], uv[1]) {
-						if layout, ok := tryLattice(c.dev, cd, ModeDefault, base, uv[0], uv[1], c.dev.Bounds()); ok {
-							matchReference(t, fmt.Sprintf("%s lattice %v", c.name, uv), layout, false, c.degrade)
+						if layout, ok := InstantiateLattice(c.dev, cd, ModeDefault, base, uv[0], uv[1]); ok {
+							matchReference(t, fmt.Sprintf("%s lattice %v", c.name, uv), f, layout, false, c.degrade)
 							break
 						}
 					}
 				}
 			}
 			if s != nil {
-				matchReference(t, c.name, s.Layout, false, c.degrade)
+				matchReference(t, c.name, newFinder(c.dev), s.Layout, false, c.degrade)
 				if c.dev.Calibration() == nil && !c.degrade {
-					matchReference(t, c.name+" star-only", s.Layout, true, false)
+					matchReference(t, c.name+" star-only", newFinder(c.dev), s.Layout, true, false)
 				}
 			}
 		}
@@ -270,7 +272,7 @@ func TestFindAllTreesMatchesReferenceOnRandomGraphs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			matchReference(t, fmt.Sprintf("seed %d, calibrated %v", seed, dv.Calibration() != nil), layout, false, true)
+			matchReference(t, fmt.Sprintf("seed %d, calibrated %v", seed, dv.Calibration() != nil), newFinder(dv), layout, false, true)
 		}
 	}
 }
@@ -293,7 +295,8 @@ func TestFinderSearchZeroAlloc(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		f := newFinder(layout)
+		f := newFinder(dev)
+		f.layout = layout
 		if (f.hop != nil) != dev.HasErrorOverrides() {
 			t.Fatalf("%s: hop prices compiled = %v, want %v", dev.Name(), f.hop != nil, dev.HasErrorOverrides())
 		}

@@ -235,10 +235,3 @@ func internallyCompatible(set []*flagbridge.Plan) bool {
 	}
 	return true
 }
-
-// TwoStageSchedule returns the baseline schedule of Lao & Almudéver used in
-// Figure 11(b): all X-stabilizers first, then all Z-stabilizers, with no
-// refinement.
-func TwoStageSchedule(plans []*flagbridge.Plan) Schedule {
-	return InitialSchedule(plans)
-}

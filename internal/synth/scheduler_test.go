@@ -151,15 +151,3 @@ func TestBestScheduleBeatsLargeCircuitSplit(t *testing.T) {
 			best.TotalSteps(), initial.TotalSteps())
 	}
 }
-
-func TestTwoStageScheduleIsInitial(t *testing.T) {
-	plans := []*flagbridge.Plan{
-		makePlan(t, code.StabX, [2]int{0, 2}, []int{1}),
-		makePlan(t, code.StabZ, [2]int{3, 5}, []int{4}),
-	}
-	two := TwoStageSchedule(plans)
-	init := InitialSchedule(plans)
-	if len(two) != len(init) {
-		t.Error("TwoStageSchedule should equal the initial schedule")
-	}
-}

@@ -2,6 +2,7 @@ package synth
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -58,36 +59,39 @@ func Synthesize(ctx context.Context, dev *device.Device, distance int, opts Opti
 	ctx, span := obs.StartSpan(ctx, "synth.synthesize")
 	span.SetAttr("distance", distance)
 	defer span.End()
-	layout, err := allocateSpan(ctx, dev, distance, opts.Mode)
+	layout, err := allocateSpan(ctx, dev, distance, opts.Mode, false)
 	if err != nil {
 		return nil, err
 	}
-	return synthesizeOnLayout(ctx, layout, opts)
+	return SynthesizeOnLayout(ctx, layout, opts)
 }
 
-// allocateSpan wraps Allocate in a trace span; kept separate so that the
-// degradation ladder can time its relaxed retries under the same name.
-func allocateSpan(ctx context.Context, dev *device.Device, distance int, mode Mode) (*Layout, error) {
+// allocateSpan runs the placement search in a synth.allocate span. With
+// relax set, a search that finds no fully routable layout is retried
+// accepting layouts that strand stabilizers (AllocateRelaxed, stage 3 of
+// the degradation ladder), in the same span; budget and construction
+// errors pass through untouched.
+func allocateSpan(ctx context.Context, dev *device.Device, distance int, mode Mode, relax bool) (*Layout, error) {
 	_, span := obs.StartSpan(ctx, "synth.allocate")
 	defer span.End()
-	return Allocate(ctx, dev, distance, mode)
+	layout, err := Allocate(ctx, dev, distance, mode)
+	if err == nil || !relax || !errors.Is(err, ErrNoPlacement) {
+		return layout, err
+	}
+	obs.RegistryFromContext(ctx).Counter("synth_ladder_relaxed_total").Inc()
+	return AllocateRelaxed(ctx, dev, distance, mode)
 }
 
-// SynthesizeOnLayout runs stages two and three on a pre-computed layout.
-func SynthesizeOnLayout(layout *Layout, opts Options) (*Synthesis, error) {
-	return synthesizeOnLayout(context.Background(), layout, opts)
-}
-
-// SynthesizeOnLayoutContext is SynthesizeOnLayout bounded by a context: the
-// search stops at the next budget check on cancellation, and stage spans
-// record into the context's registry and tracer (see internal/obs).
-func SynthesizeOnLayoutContext(ctx context.Context, layout *Layout, opts Options) (*Synthesis, error) {
-	return synthesizeOnLayout(ctx, layout, opts)
-}
-
-func synthesizeOnLayout(ctx context.Context, layout *Layout, opts Options) (*Synthesis, error) {
+// SynthesizeOnLayout runs stages two and three on a pre-computed layout:
+// bridge trees, measurement plans and the schedule, then the co-optimizer
+// when asked. With opts.Degrade set, a stabilizer whose tree cannot be
+// found or planned is dropped and reported in the result's Degradation;
+// otherwise it fails the synthesis. The context stops the search at the
+// next budget check on cancellation, and stage spans record into the
+// context's registry and tracer (see internal/obs).
+func SynthesizeOnLayout(ctx context.Context, layout *Layout, opts Options) (*Synthesis, error) {
 	_, treeSpan := obs.StartSpan(ctx, "synth.trees")
-	trees, err := FindAllTreesWith(layout, opts.StarOnlyTrees)
+	trees, dropped, err := newFinder(layout.Dev).allTrees(layout, opts.StarOnlyTrees, opts.Degrade)
 	treeSpan.End()
 	if err != nil {
 		return nil, err
@@ -95,25 +99,61 @@ func synthesizeOnLayout(ctx context.Context, layout *Layout, opts Options) (*Syn
 	if err := ctx.Err(); err != nil {
 		return nil, &BudgetError{Stage: "trees", Cause: err}
 	}
-	plans := make([]*flagbridge.Plan, len(trees))
-	for si, tree := range trees {
-		p, err := flagbridge.NewPlan(layout.Code.Stabilizers()[si].Type, tree, layout.Directions(si))
-		if err != nil {
-			return nil, fmt.Errorf("synth: plan for stabilizer %v: %w", layout.Code.Stabilizers()[si], err)
-		}
-		plans[si] = p
+	out, err := planTrees(layout, trees, dropped, opts.Degrade)
+	if err != nil {
+		return nil, err
+	}
+	if dg := out.Degradation; dg != nil {
+		obs.RegistryFromContext(ctx).Counter("synth_dropped_stabilizers_total").Add(int64(len(dg.Dropped)))
 	}
 	_, schedSpan := obs.StartSpan(ctx, "synth.schedule")
-	sched := InitialSchedule(plans)
-	if !opts.NoRefine {
-		sched = BestSchedule(plans)
+	if opts.NoRefine {
+		out.Schedule = InitialSchedule(out.RetainedPlans())
+	} else {
+		out.Schedule = BestSchedule(out.RetainedPlans())
 	}
 	schedSpan.End()
-	out := &Synthesis{Layout: layout, Trees: trees, Plans: plans, Schedule: sched}
-	if opts.CoOptimize {
+	if opts.CoOptimize && out.Degradation == nil {
 		_, coSpan := obs.StartSpan(ctx, "synth.cooptimize")
 		defer coSpan.End()
 		return CoOptimize(ctx, out)
+	}
+	return out, nil
+}
+
+// planTrees builds the measurement plan of every routed stabilizer; the
+// caller schedules the plans. A tree the planner cannot plan fails the
+// synthesis, unless degrade is set: then it is as lost as an unroutable
+// one, and the stabilizer is sacrificed with those the finder dropped and
+// reported in the result's Degradation.
+func planTrees(layout *Layout, trees []*graph.Tree, dropped map[int]error, degrade bool) (*Synthesis, error) {
+	stabs := layout.Code.Stabilizers()
+	plans := make([]*flagbridge.Plan, len(trees))
+	for si, tree := range trees {
+		if tree == nil {
+			continue
+		}
+		p, err := flagbridge.NewPlan(stabs[si].Type, tree, layout.Directions(si))
+		if err != nil {
+			if !degrade {
+				return nil, fmt.Errorf("synth: plan for stabilizer %v: %w", stabs[si], err)
+			}
+			trees[si] = nil
+			if dropped == nil {
+				dropped = map[int]error{}
+			}
+			dropped[si] = err
+			continue
+		}
+		plans[si] = p
+	}
+	out := &Synthesis{Layout: layout, Trees: trees, Plans: plans}
+	if len(dropped) > 0 {
+		dg, err := newDegradation(layout.Code, dropped)
+		if err != nil {
+			return nil, err
+		}
+		out.Degradation = dg
 	}
 	return out, nil
 }

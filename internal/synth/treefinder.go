@@ -24,24 +24,19 @@ const maxRectExpand = 3
 // measurement scheduler later places in different sets. The result is
 // indexed like layout.Code.Stabilizers().
 func FindAllTrees(layout *Layout) ([]*graph.Tree, error) {
-	return FindAllTreesWith(layout, false)
-}
-
-// FindAllTreesWith is FindAllTrees with the branching-tree heuristic
-// optionally disabled for every stabilizer (the star-only ablation).
-func FindAllTreesWith(layout *Layout, starOnly bool) ([]*graph.Tree, error) {
-	trees, _, err := findAllTrees(layout, starOnly, false)
+	trees, _, err := newFinder(layout.Dev).allTrees(layout, false, false)
 	return trees, err
 }
 
-// findAllTrees is the shared core of the pristine and degraded tree passes.
-// With degrade set, an unroutable stabilizer does not abort the pass: its
-// tree stays nil and its RouteError is recorded in the dropped map. One
-// finder serves every search of the pass.
-func findAllTrees(layout *Layout, starOnly, degrade bool) ([]*graph.Tree, map[int]error, error) {
+// allTrees is the shared core of the pristine and degraded tree passes,
+// on the finder's scratch. With starOnly set the branching-tree heuristic
+// is off for every stabilizer (the star-only ablation). With degrade set,
+// an unroutable stabilizer does not abort the pass: its tree stays nil and
+// its RouteError is recorded in the dropped map.
+func (f *finder) allTrees(layout *Layout, starOnly, degrade bool) ([]*graph.Tree, map[int]error, error) {
+	f.layout = layout
 	stabs := layout.Code.Stabilizers()
 	n := layout.Dev.Len()
-	f := newFinder(layout)
 	trees := make([]*graph.Tree, len(stabs))
 	blockedBy := map[code.StabType][]bool{
 		code.StabX: make([]bool, n),
@@ -105,13 +100,9 @@ func findAllTrees(layout *Layout, starOnly, degrade bool) ([]*graph.Tree, map[in
 // star-tree and branching-tree heuristics run; the smaller tree wins
 // (Algorithm 2 line 13). The returned tree is rooted at its center.
 func FindTree(layout *Layout, si int, blocked []bool) (*graph.Tree, error) {
-	return FindTreeWith(layout, si, blocked, false)
-}
-
-// FindTreeWith is FindTree with the branching-tree heuristic optionally
-// disabled (the star-only ablation of Figure 6's design discussion).
-func FindTreeWith(layout *Layout, si int, blocked []bool, starOnly bool) (*graph.Tree, error) {
-	return newFinder(layout).findTree(si, blocked, starOnly)
+	f := newFinder(layout.Dev)
+	f.layout = layout
+	return f.findTree(si, blocked, false)
 }
 
 // edgeCoster prices hops for the defect-weighted Dijkstra. The base price of
@@ -193,13 +184,17 @@ func compileHops(dev *device.Device) [][]int {
 	return hop
 }
 
-// finder runs Algorithm 2's searches for one FindTree or FindAllTrees call.
-// It prices the device's hops once, keeps one search scratch whose per-node
+// finder runs Algorithm 2's searches for one search call: a FindTree or
+// FindAllTrees call, a synthesis's tree pass, or every tree pass of one
+// Allocate or AllocateRelaxed call, which all route on one device. It
+// prices the device's hops once, keeps one search scratch whose per-node
 // arrays are stamped with an epoch instead of cleared, and scores each
 // candidate tree by its size alone: only the winner of each stabilizer
 // becomes a graph.Tree. A finder belongs to the call that made it; it is
-// never shared between goroutines.
+// never stored on the device or in a package variable, and never shared
+// between goroutines.
 type finder struct {
+	// layout is the layout of the current tree pass, on the finder's device.
 	layout *Layout
 	g      *graph.Graph
 	// hop[u][k] prices entering the k-th neighbour of u, in milli-hops; nil
@@ -235,11 +230,10 @@ type finder struct {
 	bestEdges [][2]int
 }
 
-func newFinder(layout *Layout) *finder {
-	n := layout.Dev.Len()
+func newFinder(dev *device.Device) *finder {
+	n := dev.Len()
 	f := &finder{
-		layout:   layout,
-		g:        layout.Dev.Graph(),
+		g:        dev.Graph(),
 		seen:     make([]uint32, n),
 		done:     make([]uint32, n),
 		parent:   make([]int, n),
@@ -248,8 +242,8 @@ func newFinder(layout *Layout) *finder {
 		interior: make([]uint32, n),
 		mark:     make([]uint32, n),
 	}
-	if layout.Dev.HasErrorOverrides() {
-		f.hop = compileHops(layout.Dev)
+	if dev.HasErrorOverrides() {
+		f.hop = compileHops(dev)
 	}
 	return f
 }
@@ -259,7 +253,8 @@ func (f *finder) tick() uint32 {
 	return f.clock
 }
 
-// findTree is FindTreeWith on the finder's scratch.
+// findTree is FindTree on the finder's scratch, with the branching-tree
+// heuristic off when starOnly is set.
 func (f *finder) findTree(si int, blocked []bool, starOnly bool) (*graph.Tree, error) {
 	for expand := 0; expand <= maxRectExpand; expand++ {
 		if f.score(si, expand, blocked, starOnly) {

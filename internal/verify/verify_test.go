@@ -41,7 +41,7 @@ func TestVerticalHookLayoutFlagged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := synth.SynthesizeOnLayout(layout, synth.Options{})
+	s, err := synth.SynthesizeOnLayout(context.Background(), layout, synth.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
