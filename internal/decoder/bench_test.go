@@ -10,6 +10,7 @@ import (
 	"surfstitch/internal/circuit"
 	"surfstitch/internal/dem"
 	"surfstitch/internal/device"
+	"surfstitch/internal/experiment"
 	"surfstitch/internal/frame"
 	"surfstitch/internal/noise"
 	"surfstitch/internal/surgery"
@@ -65,6 +66,32 @@ func squareBatch(b *testing.B, d int, p float64) (*dem.Model, []int, *frame.Batc
 	}
 	model, batch := sampleBatch(b, c, int64(1000+d), benchShots)
 	return model, mem.DetectorRound, batch
+}
+
+// pointSparseChunk compiles the decoder of the point-sparse benchmark
+// workload — the square-tiling d=3 memory over 9 rounds at p=0.0005, with
+// the default idle noise on every qubit — and samples one 1024-shot chunk
+// of it, the unit the Monte-Carlo engine decodes.
+func pointSparseChunk(tb testing.TB) (*Decoder, *frame.Batch) {
+	tb.Helper()
+	s, err := synth.Synthesize(context.Background(), device.Square(4, 4), 3, synth.Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	mem, err := experiment.NewMemory(s, 9, experiment.Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	c, err := mem.Noisy(noise.Model{GateError: 0.0005, IdleError: noise.DefaultIdleError, IdleOnly: s.AllQubits()})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	model, batch := sampleBatch(tb, c, 1, 1024)
+	dec, err := New(model)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return dec, batch
 }
 
 // mergedCircuit builds the distance-d lattice-surgery circuit of two square
@@ -226,6 +253,27 @@ func BenchmarkRows(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(dec.rows)), "ns/row")
+}
+
+// BenchmarkDecodeRange times DecodeRangeScratch over a point-sparse chunk
+// on a warm scratch and syndrome cache: the steady state of a
+// sub-threshold point, where extracting each shot's defects and looking the
+// sparse syndrome up dominate.
+func BenchmarkDecodeRange(b *testing.B) {
+	dec, batch := pointSparseChunk(b)
+	s := dec.NewScratch()
+	if _, err := dec.DecodeRangeScratch(batch, 0, batch.Shots, s); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := dec.DecodeRangeScratch(batch, 0, batch.Shots, s); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch.Shots), "ns/shot")
 }
 
 // BenchmarkStream times sliding-window streaming decode — a 3-round window

@@ -237,7 +237,8 @@ func TestUndetectableObsTracked(t *testing.T) {
 
 func TestDecodeRangeShardsMatchBatch(t *testing.T) {
 	// Sharded range decoding with merged stats must agree with DecodeBatch:
-	// the property the Monte-Carlo engine relies on.
+	// the property the Monte-Carlo engine relies on. Shards of 170 and 37
+	// shots start and end inside 64-shot words, and some lie within one.
 	c := noise.Uniform(0.02).MustApply(repetitionMemory(3, 3))
 	dec := buildDecoder(t, c)
 	s, _ := frame.NewSampler(c, rand.New(rand.NewSource(321)))
@@ -246,27 +247,44 @@ func TestDecodeRangeShardsMatchBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var merged Stats
-	scratch := dec.NewScratch()
-	for lo := 0; lo < batch.Shots; lo += 170 {
-		hi := lo + 170
-		if hi > batch.Shots {
-			hi = batch.Shots
+	for _, step := range []int{170, 37} {
+		var merged Stats
+		scratch := dec.NewScratch()
+		for lo := 0; lo < batch.Shots; lo += step {
+			hi := min(lo+step, batch.Shots)
+			part, err := dec.DecodeRangeScratch(batch, lo, hi, scratch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			merged = merged.Merge(part)
 		}
-		part, err := dec.DecodeRangeScratch(batch, lo, hi, scratch)
-		if err != nil {
+		// Shots, LogicalErrors and the syndrome-weight histogram must merge
+		// exactly; the cache counters are deliberately excluded — the
+		// DecodeBatch pass warmed the syndrome cache, so the range passes
+		// see more hits than a cold run.
+		if merged.Shots != whole.Shots || merged.LogicalErrors != whole.LogicalErrors || merged.KHist != whole.KHist {
+			t.Errorf("step %d: merged range stats %+v != batch stats %+v", step, merged, whole)
+		}
+		if merged.CacheHits+merged.CacheMisses > merged.Shots {
+			t.Errorf("step %d: cache counters exceed decoded shots: %+v", step, merged)
+		}
+	}
+}
+
+// TestDecodeRangeZeroAlloc gates the whole-shot chunk loop: once a scratch
+// has decoded a point-sparse chunk, decoding the same chunk again — defect
+// extraction, cache lookups and all — allocates nothing.
+func TestDecodeRangeZeroAlloc(t *testing.T) {
+	dec, batch := pointSparseChunk(t)
+	s := dec.NewScratch()
+	pass := func() {
+		if _, err := dec.DecodeRangeScratch(batch, 0, batch.Shots, s); err != nil {
 			t.Fatal(err)
 		}
-		merged = merged.Merge(part)
 	}
-	// Shots and LogicalErrors must merge exactly; the cache counters are
-	// deliberately excluded — the DecodeBatch pass warmed the syndrome
-	// cache, so the range passes see more hits than a cold run.
-	if merged.Shots != whole.Shots || merged.LogicalErrors != whole.LogicalErrors {
-		t.Errorf("merged range stats %+v != batch stats %+v", merged, whole)
-	}
-	if merged.CacheHits+merged.CacheMisses > merged.Shots {
-		t.Errorf("cache counters exceed decoded shots: %+v", merged)
+	pass()
+	if allocs := testing.AllocsPerRun(5, pass); allocs != 0 {
+		t.Fatalf("DecodeRangeScratch allocates %.1f times a %d-shot chunk on a warm scratch; want 0", allocs, batch.Shots)
 	}
 }
 
