@@ -295,12 +295,9 @@ func BenchmarkStream(b *testing.B) {
 			pass := func() {
 				for shot := 0; shot < batch.Shots; shot++ {
 					st.Reset()
-					for r := 0; r < st.NumRounds(); r++ {
-						lo, hi := st.RoundRange(r)
-						buf = batch.AppendShotDetectorsRange(buf[:0], shot, lo, hi)
-						if err := st.PushRound(buf); err != nil {
-							b.Fatal(err)
-						}
+					buf = batch.AppendShotDetectors(buf[:0], shot)
+					if err := pushRounds(st, buf); err != nil {
+						b.Fatal(err)
 					}
 					if _, err := st.Finish(); err != nil {
 						b.Fatal(err)

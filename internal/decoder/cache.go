@@ -56,8 +56,8 @@ func (c *synCache) size() int {
 
 // appendSyndromeKey encodes a sorted defect set as fixed-width 4-byte
 // little-endian words: fixed width means distinct sets can never collide,
-// and the sorted order (ShotDetectors emits detectors in index order) makes
-// the key canonical.
+// and the sorted order (WordDetectors and ShotDetectors emit detectors in
+// index order) makes the key canonical.
 func appendSyndromeKey(dst []byte, defects []int) []byte {
 	for _, d := range defects {
 		dst = append(dst, byte(d), byte(d>>8), byte(d>>16), byte(d>>24))

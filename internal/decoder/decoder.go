@@ -708,51 +708,61 @@ func (s Stats) Merge(o Stats) Stats {
 
 // DecodeRangeScratch decodes shots [lo, hi) of a batch serially on the
 // calling goroutine and compares predictions against the actual observable
-// flips. The per-shot defect list, matching edges, cache keys and blossom
-// state all live in the caller-owned scratch s, so the steady-state hot loop
-// does not allocate; s must not be shared between concurrent calls. The
-// decoder's tables are immutable (or published atomically) after
-// construction, so disjoint ranges decode concurrently with one scratch
-// each, and callers that shard a batch merge the per-range Stats.
+// flips. Defects are extracted one 64-shot word at a time, and the word's
+// defect lists, matching edges, cache keys and blossom state all live in
+// the caller-owned scratch s, so the steady-state hot loop does not
+// allocate; s must not be shared between concurrent calls. Shots decode in
+// ascending order. The decoder's tables are immutable (or published
+// atomically) after construction, so disjoint ranges decode concurrently
+// with one scratch each, and callers that shard a batch merge the
+// per-range Stats.
 func (d *Decoder) DecodeRangeScratch(batch *frame.Batch, lo, hi int, s *Scratch) (Stats, error) {
 	var stats Stats
-	for shot := lo; shot < hi; shot++ {
-		s.defects = batch.AppendShotDetectors(s.defects[:0], shot)
-		pred, hit, path, err := d.decode(s.defects, s)
-		if err != nil {
-			return stats, err
-		}
-		k := len(s.defects)
-		if k >= KHistBuckets {
-			k = KHistBuckets - 1
-		}
-		stats.KHist[k]++
-		if len(s.defects) > 0 {
-			if hit {
-				stats.CacheHits++
-			} else {
-				stats.CacheMisses++
+	for w := lo / 64; w*64 < hi; w++ {
+		first, end := max(lo-w*64, 0), min(hi-w*64, 64)
+		mask := (^uint64(0) >> uint(64-end)) &^ (1<<uint(first) - 1) // bits [first, end)
+		s.dets = batch.WordDetectors(w, mask, &s.off, s.dets)
+		for i := first; i < end; i++ {
+			shot := w*64 + i
+			defects := s.dets[s.off[i]:s.off[i+1]]
+			pred, hit, path, err := d.decode(defects, s)
+			if err != nil {
+				return stats, err
 			}
-		}
-		switch path {
-		case pathK1:
-			stats.FastK1++
-		case pathK2:
-			stats.FastK2++
-		case pathBlossom:
-			stats.Blossom++
-		case pathUF:
-			stats.UFShots++
-		case pathUFFallback:
-			stats.UFFallbacks++
-			stats.Blossom++
-		}
-		stats.Shots++
-		if pred != batch.ObservableMask(shot) {
-			stats.LogicalErrors++
+			stats.count(len(defects), hit, path)
+			if pred != batch.ObservableMask(shot) {
+				stats.LogicalErrors++
+			}
 		}
 	}
 	return stats, nil
+}
+
+// count tallies one decoded shot of k defects: its histogram bucket, its
+// cache outcome and the decode path that answered a miss.
+func (s *Stats) count(k int, hit bool, path decodePath) {
+	s.Shots++
+	s.KHist[min(k, KHistBuckets-1)]++
+	if k > 0 {
+		if hit {
+			s.CacheHits++
+		} else {
+			s.CacheMisses++
+		}
+	}
+	switch path {
+	case pathK1:
+		s.FastK1++
+	case pathK2:
+		s.FastK2++
+	case pathBlossom:
+		s.Blossom++
+	case pathUF:
+		s.UFShots++
+	case pathUFFallback:
+		s.UFFallbacks++
+		s.Blossom++
+	}
 }
 
 // DecodeBatch decodes every shot of a sampled batch serially with a fresh

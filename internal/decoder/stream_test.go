@@ -1,6 +1,7 @@
 package decoder
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -21,18 +22,30 @@ func uniformRounds(numDet, perRound int) []int {
 	return detRound
 }
 
+// pushRounds feeds one shot's ascending defect list to the stream round by
+// round, slicing it at each round's detector range.
+func pushRounds(st *Stream, defects []int) error {
+	for r := 0; r < st.NumRounds(); r++ {
+		_, hi := st.RoundRange(r)
+		n := 0
+		for n < len(defects) && defects[n] < hi {
+			n++
+		}
+		if err := st.PushRound(defects[:n]); err != nil {
+			return fmt.Errorf("round %d: %w", r, err)
+		}
+		defects = defects[n:]
+	}
+	return nil
+}
+
 // streamShot pushes one shot's defects through the stream round by round
 // and finishes it.
 func streamShot(t *testing.T, st *Stream, batch *frame.Batch, shot int) uint64 {
 	t.Helper()
 	st.Reset()
-	var buf []int
-	for r := 0; r < st.NumRounds(); r++ {
-		lo, hi := st.RoundRange(r)
-		buf = batch.AppendShotDetectorsRange(buf[:0], shot, lo, hi)
-		if err := st.PushRound(buf); err != nil {
-			t.Fatalf("shot %d round %d: %v", shot, r, err)
-		}
+	if err := pushRounds(st, batch.ShotDetectors(shot)); err != nil {
+		t.Fatalf("shot %d: %v", shot, err)
 	}
 	obs, err := st.Finish()
 	if err != nil {
@@ -333,12 +346,9 @@ func TestStreamDecodeZeroAlloc(t *testing.T) {
 	decodeAll := func() {
 		for shot := 0; shot < batch.Shots; shot++ {
 			st.Reset()
-			for r := 0; r < st.NumRounds(); r++ {
-				lo, hi := st.RoundRange(r)
-				buf = batch.AppendShotDetectorsRange(buf[:0], shot, lo, hi)
-				if err := st.PushRound(buf); err != nil {
-					t.Fatal(err)
-				}
+			buf = batch.AppendShotDetectors(buf[:0], shot)
+			if err := pushRounds(st, buf); err != nil {
+				t.Fatal(err)
 			}
 			if _, err := st.Finish(); err != nil {
 				t.Fatal(err)

@@ -371,13 +371,14 @@ func TestUFDecodeZeroAlloc(t *testing.T) {
 	}
 	batch := sampler.Sample(400)
 	s := dec.NewScratch()
+	var defects []int
 	pass := func() {
 		for shot := 0; shot < batch.Shots; shot++ {
-			s.defects = batch.AppendShotDetectors(s.defects[:0], shot)
-			if len(s.defects) == 0 {
+			defects = batch.AppendShotDetectors(defects[:0], shot)
+			if len(defects) == 0 {
 				continue
 			}
-			if _, _, err := dec.decodeMiss(s.defects, s); err != nil {
+			if _, _, err := dec.decodeMiss(defects, s); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -133,7 +133,7 @@ func FromCircuit(c *circuit.Circuit) (*Model, error) {
 	// Record index: out(r), the outputs that list record r, is the
 	// detectors recDets[recAt[r]:recAt[r+1]] and the observable mask
 	// recObs[r]. A record a set lists twice is XORed in twice, so it
-	// cancels as it does in frame.Combine.
+	// cancels as it does in the frame sampler's detector planes.
 	records := c.NumMeasurements()
 	recAt := make([]int, records+1)
 	for _, set := range c.Detectors {

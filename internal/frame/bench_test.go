@@ -79,7 +79,8 @@ func pointSparseCircuit(tb testing.TB) *circuit.Circuit {
 var sampled *Batch
 
 // BenchmarkSampleChunk times one 1024-shot chunk of the point-sparse
-// circuit, the Monte-Carlo engine's unit of sampling.
+// circuit, the Monte-Carlo engine's unit of sampling, into a fresh batch
+// and into one batch reused across chunks.
 func BenchmarkSampleChunk(b *testing.B) {
 	const shots = 1024
 	cs, err := NewChunkedSampler(pointSparseCircuit(b))
@@ -91,6 +92,16 @@ func BenchmarkSampleChunk(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			sampled = cs.SampleChunk(rng, shots)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*shots), "ns/shot")
+	})
+	b.Run("reused", func(b *testing.B) {
+		batch := &Batch{}
+		cs.SampleInto(batch, rng, shots)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			cs.SampleInto(batch, rng, shots)
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*shots), "ns/shot")
 	})

@@ -36,12 +36,22 @@ import (
 
 // Batch holds the sampled detector and observable flips for a number of
 // shots. Bit s of word w of a plane refers to shot w*64+s.
+//
+// Every plane of a batch, and the Pauli frame it was sampled through, is
+// carved from one slab. Sampling into a batch that already holds a chunk
+// (ChunkedSampler.SampleInto) reuses the slab when it is large enough and
+// overwrites every plane, so a caller that keeps one batch per worker must
+// be done with the previous chunk first. The zero Batch is ready to sample
+// into.
 type Batch struct {
 	Shots       int
 	Words       int
 	DetFlips    [][]uint64 // [detector][word]
 	ObsFlips    [][]uint64 // [observable][word]
 	RecordFlips [][]uint64 // [measurement record][word]
+
+	slab   []uint64   // the words of every plane
+	planes [][]uint64 // frame x, frame z, records, detectors, observables
 }
 
 // ShotDetectors returns the indices of flipped detectors in one shot.
@@ -51,30 +61,52 @@ func (b *Batch) ShotDetectors(shot int) []int {
 
 // AppendShotDetectors appends the indices of flipped detectors in one shot
 // to dst and returns the extended slice: the buffer-reusing variant of
-// ShotDetectors for decode hot loops (pass a retained buffer as dst[:0] to
-// avoid the per-shot allocation).
+// ShotDetectors for single-shot callers. Loops over many shots should use
+// WordDetectors, which extracts 64 shots per pass.
 func (b *Batch) AppendShotDetectors(dst []int, shot int) []int {
 	return appendPlaneBitsAt(dst, b.DetFlips, shot)
 }
 
-// AppendShotDetectorsRange appends the flipped detectors of one shot whose
-// indices fall in [lo, hi): the round-slicing variant for streaming decode,
-// where a memory experiment's detectors are contiguous per round. Returned
-// indices stay global (they are not rebased to lo).
-func (b *Batch) AppendShotDetectorsRange(dst []int, shot, lo, hi int) []int {
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > len(b.DetFlips) {
-		hi = len(b.DetFlips)
-	}
-	w, bit := shot/64, uint(shot%64)
-	for i := lo; i < hi; i++ {
-		if b.DetFlips[i][w]&(1<<bit) != 0 {
-			dst = append(dst, i)
+// WordDetectors extracts the flipped detectors of the shots of word w that
+// mask selects into a CSR: the detectors of shot w*64+i, in ascending
+// order, are dets[off[i]:off[i+1]], and an unselected shot's list is
+// empty. dets is reused when its capacity suffices and otherwise replaced
+// by one with room to spare; the filled slice is returned. A count pass
+// and a fill pass visit only the set bits of each detector's masked word,
+// so a word with no flipped detector costs one load per detector.
+func (b *Batch) WordDetectors(w int, mask uint64, off *[65]int, dets []int) []int {
+	*off = [65]int{}
+	var flipped uint64
+	for _, plane := range b.DetFlips {
+		x := plane[w] & mask
+		flipped |= x
+		for ; x != 0; x &= x - 1 {
+			off[bits.TrailingZeros64(x)+1]++
 		}
 	}
-	return dst
+	if flipped == 0 {
+		return dets[:0]
+	}
+	var next [64]int
+	for i := 0; i < 64; i++ {
+		next[i] = off[i]
+		off[i+1] += off[i]
+	}
+	// Twice the word's need leaves room for the words after it, so a
+	// reused backing slice stops growing after a worker's first words.
+	if n := off[64]; cap(dets) < n {
+		dets = make([]int, n, 2*n)
+	} else {
+		dets = dets[:n]
+	}
+	for det, plane := range b.DetFlips {
+		for x := plane[w] & mask; x != 0; x &= x - 1 {
+			i := bits.TrailingZeros64(x)
+			dets[next[i]] = det
+			next[i]++
+		}
+	}
+	return dets
 }
 
 // ShotObservables returns the indices of flipped observables in one shot.
@@ -130,8 +162,9 @@ func popCountPlane(plane []uint64, shots int) int {
 
 // Sampler samples batches from a fixed noisy circuit.
 type Sampler struct {
-	c   *circuit.Circuit
-	rng *rand.Rand
+	c       *circuit.Circuit
+	records int
+	rng     *rand.Rand
 }
 
 // NewSampler prepares a sampler for the circuit. The circuit should contain
@@ -145,21 +178,25 @@ func NewSampler(c *circuit.Circuit, rng *rand.Rand) (*Sampler, error) {
 	if rng == nil {
 		return nil, fmt.Errorf("frame: NewSampler requires a non-nil RNG (use rand.New(rand.NewSource(seed)))")
 	}
-	return &Sampler{c: c, rng: rng}, nil
+	return &Sampler{c: c, records: c.NumMeasurements(), rng: rng}, nil
 }
 
-// Sample runs the requested number of shots and returns the flip planes.
+// Sample runs the requested number of shots and returns the flip planes in
+// a fresh batch.
 func (s *Sampler) Sample(shots int) *Batch {
-	return sample(s.c, s.rng, shots)
+	b := &Batch{}
+	sample(s.c, s.records, s.rng, shots, b)
+	return b
 }
 
 // ChunkedSampler is the sharded sampling entry point used by the Monte-Carlo
 // engine: the circuit is validated once, then each chunk samples with its
 // own caller-provided RNG stream. The circuit is only read during sampling,
 // so one ChunkedSampler serves any number of workers concurrently as long
-// as each call gets a private RNG.
+// as each call gets a private RNG and batch.
 type ChunkedSampler struct {
-	c *circuit.Circuit
+	c       *circuit.Circuit
+	records int
 }
 
 // NewChunkedSampler validates the circuit and prepares it for concurrent
@@ -168,24 +205,36 @@ func NewChunkedSampler(c *circuit.Circuit) (*ChunkedSampler, error) {
 	if err := c.Validate(); err != nil {
 		return nil, fmt.Errorf("frame: %w", err)
 	}
-	return &ChunkedSampler{c: c}, nil
+	return &ChunkedSampler{c: c, records: c.NumMeasurements()}, nil
 }
 
-// SampleChunk runs one chunk of shots drawing from the given RNG stream.
+// SampleChunk runs one chunk of shots drawing from the given RNG stream
+// and returns it in a fresh batch.
 func (cs *ChunkedSampler) SampleChunk(rng *rand.Rand, shots int) *Batch {
+	b := &Batch{}
+	cs.SampleInto(b, rng, shots)
+	return b
+}
+
+// SampleInto runs one chunk of shots drawing from the given RNG stream
+// into b, overwriting whatever b held. Once b has held a chunk at least
+// this large, sampling into it allocates nothing. The result is
+// bit-identical to SampleChunk's for the same stream.
+func (cs *ChunkedSampler) SampleInto(b *Batch, rng *rand.Rand, shots int) {
 	if rng == nil {
 		//surflint:ignore paniccheck the mc hot loop calls this per chunk; RNG validity is established once by NewSampler/ChunkedSampler, so this is an invariant assertion, not input validation
 		panic("frame: SampleChunk requires a non-nil RNG")
 	}
-	return sample(cs.c, rng, shots)
+	sample(cs.c, cs.records, rng, shots, b)
 }
 
-func sample(c *circuit.Circuit, rng *rand.Rand, shots int) *Batch {
+// sample runs shots of c, whose measurements write records bits, into b.
+func sample(c *circuit.Circuit, records int, rng *rand.Rand, shots int, b *Batch) {
 	if shots <= 0 {
 		panic("frame: shots must be positive")
 	}
-	words := (shots + 63) / 64
-	st := newState(c.NumQubits, words, shots, rng)
+	x, z := b.carve(c.NumQubits, records, len(c.Detectors), len(c.Observables), shots)
+	st := state{x: x, z: z, records: b.RecordFlips, shots: shots, rng: rng}
 	for _, m := range c.Moments {
 		for _, g := range m.Gates {
 			st.applyGate(g)
@@ -194,44 +243,54 @@ func sample(c *circuit.Circuit, rng *rand.Rand, shots int) *Batch {
 			st.applyNoise(nz)
 		}
 	}
-	batch := &Batch{Shots: shots, Words: words, RecordFlips: st.records}
-	batch.DetFlips = Combine(c.Detectors, st.records, words)
-	batch.ObsFlips = Combine(c.Observables, st.records, words)
-	return batch
+	combine(b.DetFlips, c.Detectors, b.RecordFlips)
+	combine(b.ObsFlips, c.Observables, b.RecordFlips)
 }
 
-// Combine XORs record flip planes into per-set parity planes; each set lists
-// record indices (a detector or observable definition).
-func Combine(sets [][]int, records [][]uint64, words int) [][]uint64 {
-	out := make([][]uint64, len(sets))
+// carve lays out zeroed planes for shots of a circuit on b's slab, growing
+// the slab and the plane headers only when they are too small, and returns
+// the Pauli frame's planes.
+func (b *Batch) carve(qubits, records, dets, obs, shots int) (x, z [][]uint64) {
+	words := (shots + 63) / 64
+	n := 2*qubits + records + dets + obs
+	if cap(b.slab) < n*words {
+		b.slab = make([]uint64, n*words)
+	} else {
+		b.slab = b.slab[:n*words]
+		clear(b.slab)
+	}
+	if cap(b.planes) < n {
+		b.planes = make([][]uint64, n)
+	}
+	b.planes = b.planes[:n]
+	for i := range b.planes {
+		b.planes[i] = b.slab[i*words : (i+1)*words : (i+1)*words]
+	}
+	q, r, d := qubits, 2*qubits+records, 2*qubits+records+dets
+	b.RecordFlips, b.DetFlips, b.ObsFlips = b.planes[2*q:r:r], b.planes[r:d:d], b.planes[d:n:n]
+	b.Shots, b.Words = shots, words
+	return b.planes[:q:q], b.planes[q : 2*q : 2*q]
+}
+
+// combine XORs record flip planes into zeroed parity planes, one per set
+// of record indices (a detector or observable definition).
+func combine(out [][]uint64, sets [][]int, records [][]uint64) {
 	for i, set := range sets {
-		plane := make([]uint64, words)
 		for _, r := range set {
-			for w := 0; w < words; w++ {
-				plane[w] ^= records[r][w]
-			}
+			xorInto(out[i], records[r])
 		}
-		out[i] = plane
 	}
-	return out
 }
 
+// state is one chunk's sampling pass over planes carved from the batch
+// being sampled: the Pauli frame, and the record planes, of which the
+// first measured are filled.
 type state struct {
-	x, z    [][]uint64
-	words   int
-	shots   int
-	rng     *rand.Rand
-	records [][]uint64
-}
-
-func newState(numQubits, words, shots int, rng *rand.Rand) *state {
-	x := make([][]uint64, numQubits)
-	z := make([][]uint64, numQubits)
-	for q := range x {
-		x[q] = make([]uint64, words)
-		z[q] = make([]uint64, words)
-	}
-	return &state{x: x, z: z, words: words, shots: shots, rng: rng}
+	x, z     [][]uint64
+	shots    int
+	rng      *rand.Rand
+	records  [][]uint64
+	measured int
 }
 
 func (st *state) applyGate(g circuit.Instruction) {
@@ -266,9 +325,8 @@ func (st *state) applyGate(g circuit.Instruction) {
 		}
 	case circuit.OpM:
 		for _, q := range g.Qubits {
-			rec := make([]uint64, st.words)
-			copy(rec, st.x[q])
-			st.records = append(st.records, rec)
+			copy(st.records[st.measured], st.x[q])
+			st.measured++
 			// The Z component on a measured qubit is unphysical afterwards;
 			// clearing it keeps later H/CX propagation from resurrecting it.
 			zero(st.z[q])
@@ -279,22 +337,25 @@ func (st *state) applyGate(g circuit.Instruction) {
 }
 
 func (st *state) applyNoise(nz circuit.Instruction) {
+	// One instruction's targets share p, so log(1-p) is taken once for all
+	// of them.
+	p, logq := nz.Arg, math.Log1p(-nz.Arg)
 	switch nz.Op {
 	case circuit.OpXError:
 		for _, q := range nz.Qubits {
-			st.forEachEventBit(nz.Arg, func(w int, mask uint64) {
+			st.forEachEventBit(p, logq, func(w int, mask uint64) {
 				st.x[q][w] ^= mask
 			})
 		}
 	case circuit.OpZError:
 		for _, q := range nz.Qubits {
-			st.forEachEventBit(nz.Arg, func(w int, mask uint64) {
+			st.forEachEventBit(p, logq, func(w int, mask uint64) {
 				st.z[q][w] ^= mask
 			})
 		}
 	case circuit.OpDepolarize1:
 		for _, q := range nz.Qubits {
-			st.forEachEventBit(nz.Arg, func(w int, mask uint64) {
+			st.forEachEventBit(p, logq, func(w int, mask uint64) {
 				switch st.rng.Intn(3) {
 				case 0:
 					st.x[q][w] ^= mask
@@ -309,18 +370,18 @@ func (st *state) applyNoise(nz circuit.Instruction) {
 	case circuit.OpDepolarize2:
 		for i := 0; i < len(nz.Qubits); i += 2 {
 			a, b := nz.Qubits[i], nz.Qubits[i+1]
-			st.forEachEventBit(nz.Arg, func(w int, mask uint64) {
-				p := st.rng.Intn(15) + 1 // 1..15: (xa, za, xb, zb) bits
-				if p&1 != 0 {
+			st.forEachEventBit(p, logq, func(w int, mask uint64) {
+				pauli := st.rng.Intn(15) + 1 // 1..15: (xa, za, xb, zb) bits
+				if pauli&1 != 0 {
 					st.x[a][w] ^= mask
 				}
-				if p&2 != 0 {
+				if pauli&2 != 0 {
 					st.z[a][w] ^= mask
 				}
-				if p&4 != 0 {
+				if pauli&4 != 0 {
 					st.x[b][w] ^= mask
 				}
-				if p&8 != 0 {
+				if pauli&8 != 0 {
 					st.z[b][w] ^= mask
 				}
 			})
@@ -332,8 +393,8 @@ func (st *state) applyNoise(nz circuit.Instruction) {
 
 // forEachEventBit visits each shot selected by an independent Bernoulli(p)
 // draw, using geometric skipping so the cost is proportional to the number
-// of error events rather than the number of shots.
-func (st *state) forEachEventBit(p float64, f func(w int, mask uint64)) {
+// of error events rather than the number of shots. logq is log(1-p).
+func (st *state) forEachEventBit(p, logq float64, f func(w int, mask uint64)) {
 	if p <= 0 {
 		return
 	}
@@ -343,7 +404,6 @@ func (st *state) forEachEventBit(p float64, f func(w int, mask uint64)) {
 		}
 		return
 	}
-	logq := math.Log1p(-p)
 	s := 0
 	for {
 		u := st.rng.Float64()

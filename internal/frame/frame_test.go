@@ -329,30 +329,76 @@ func TestNewSamplerRejectsNilRNG(t *testing.T) {
 
 func TestChunkedSamplerMatchesSampler(t *testing.T) {
 	// A chunk sampled with a given stream must equal a Sampler run with the
-	// same stream: SampleChunk is the same sampler, minus re-validation.
-	c := repCodeCircuit(t, 0.05)
-	s, err := NewSampler(c, rand.New(rand.NewSource(777)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := s.Sample(200)
-	cs, err := NewChunkedSampler(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := cs.SampleChunk(rand.New(rand.NewSource(777)), 200)
-	for i := range want.DetFlips {
-		for w := range want.DetFlips[i] {
-			if got.DetFlips[i][w] != want.DetFlips[i][w] {
-				t.Fatalf("detector plane %d word %d differs", i, w)
+	// same stream, in a fresh batch and in one batch reused across circuits
+	// and chunk sizes, growing and shrinking: one sampler, minus
+	// re-validation.
+	reused := &Batch{}
+	for i, tc := range []struct {
+		c     *circuit.Circuit
+		shots int
+	}{
+		{repCodeCircuit(t, 0.05), 200},
+		{repCodeCircuit(t, 0.05), 130},
+		{benchCircuit(16, 3), 1000},
+		{repCodeCircuit(t, 0.2), 64},
+		{benchCircuit(16, 3), 700},
+	} {
+		seed := int64(777 + i)
+		s, err := NewSampler(tc.c, rand.New(rand.NewSource(seed)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := s.Sample(tc.shots)
+		cs, err := NewChunkedSampler(tc.c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh := cs.SampleChunk(rand.New(rand.NewSource(seed)), tc.shots)
+		cs.SampleInto(reused, rand.New(rand.NewSource(seed)), tc.shots)
+		for name, got := range map[string]*Batch{"fresh": fresh, "reused": reused} {
+			if got.Shots != want.Shots || got.Words != want.Words {
+				t.Fatalf("case %d %s: %d shots in %d words, want %d in %d", i, name, got.Shots, got.Words, want.Shots, want.Words)
+			}
+			for _, planes := range []struct {
+				kind      string
+				got, want [][]uint64
+			}{
+				{"record", got.RecordFlips, want.RecordFlips},
+				{"detector", got.DetFlips, want.DetFlips},
+				{"observable", got.ObsFlips, want.ObsFlips},
+			} {
+				if len(planes.got) != len(planes.want) {
+					t.Fatalf("case %d %s: %d %s planes, want %d", i, name, len(planes.got), planes.kind, len(planes.want))
+				}
+				for j := range planes.want {
+					if len(planes.got[j]) != len(planes.want[j]) {
+						t.Fatalf("case %d %s: %s plane %d has %d words, want %d", i, name, planes.kind, j, len(planes.got[j]), len(planes.want[j]))
+					}
+					for w := range planes.want[j] {
+						if planes.got[j][w] != planes.want[j][w] {
+							t.Fatalf("case %d %s: %s plane %d word %d differs", i, name, planes.kind, j, w)
+						}
+					}
+				}
 			}
 		}
 	}
-	for i := range want.ObsFlips {
-		for w := range want.ObsFlips[i] {
-			if got.ObsFlips[i][w] != want.ObsFlips[i][w] {
-				t.Fatalf("observable plane %d word %d differs", i, w)
-			}
+}
+
+// TestSampleChunkZeroAlloc gates the Monte-Carlo chunk's sampling: once a
+// batch has held a point-sparse chunk, sampling a chunk of that size or a
+// smaller final one into it allocates nothing.
+func TestSampleChunkZeroAlloc(t *testing.T) {
+	cs, err := NewChunkedSampler(pointSparseCircuit(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	b := &Batch{}
+	cs.SampleInto(b, rng, 1024)
+	for _, shots := range []int{1024, 952} {
+		if allocs := testing.AllocsPerRun(5, func() { cs.SampleInto(b, rng, shots) }); allocs != 0 {
+			t.Fatalf("sampling %d shots into a warm batch allocates %.1f times; want 0", shots, allocs)
 		}
 	}
 }
@@ -381,6 +427,43 @@ func TestAppendShotDetectorsMatchesShotDetectors(t *testing.T) {
 		}
 		if cap(got) > cap(buf) {
 			buf = got // keep the grown buffer, as callers do
+		}
+	}
+}
+
+// TestWordDetectorsMatchShotDetectors checks the word pass against the
+// per-shot extraction: every selected shot's list equals ShotDetectors,
+// every unselected shot's list is empty, on masks that cut words at both
+// ends, with one backing slice reused across words.
+func TestWordDetectorsMatchShotDetectors(t *testing.T) {
+	c := repCodeCircuit(t, 0.1)
+	s, _ := NewSampler(c, rand.New(rand.NewSource(557)))
+	batch := s.Sample(300)
+	var (
+		off  [65]int
+		dets []int
+	)
+	for _, mask := range []uint64{^uint64(0), 0, 0x5555_5555_5555_5555, 0xffff_ffff_fffe_0000, 1<<40 - 1, 1 << 63} {
+		for w := 0; w < batch.Words; w++ {
+			dets = batch.WordDetectors(w, mask, &off, dets)
+			for i := 0; i < 64; i++ {
+				got := dets[off[i]:off[i+1]]
+				var want []int
+				if shot := w*64 + i; mask&(1<<uint(i)) != 0 && shot < batch.Shots {
+					want = batch.ShotDetectors(shot)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("mask %x word %d bit %d: got %v, want %v", mask, w, i, got, want)
+				}
+				for j := range want {
+					if got[j] != want[j] {
+						t.Fatalf("mask %x word %d bit %d: got %v, want %v", mask, w, i, got, want)
+					}
+				}
+			}
+			if off[64] != len(dets) {
+				t.Fatalf("mask %x word %d: offsets end at %d, backing holds %d", mask, w, off[64], len(dets))
+			}
 		}
 	}
 }

@@ -127,7 +127,8 @@ type Result struct {
 // ChunkFunc runs one chunk of shots with the chunk's private RNG stream and
 // returns its tally. Implementations are called concurrently from multiple
 // workers and must not share mutable state; the chunk index identifies the
-// shard for callers that key per-chunk resources.
+// shard for callers that key per-chunk resources. The RNG is valid only
+// during the call: each worker reseeds one generator for its next chunk.
 type ChunkFunc func(chunk int, rng *rand.Rand, shots int) (Tally, error)
 
 // Config parameterizes a run. The zero value of every field selects a sane
@@ -235,6 +236,9 @@ func Run(ctx context.Context, cfg Config, fn ChunkFunc) (Result, error) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			// Reseeding one generator per worker gives each chunk the same
+			// stream as a fresh source seeded alike, without allocating one.
+			rng := rand.New(rand.NewSource(0))
 			for atomic.LoadInt64(&stopped) == 0 && ctx.Err() == nil {
 				i := int(atomic.AddInt64(&next, 1) - 1)
 				if i >= nChunks {
@@ -244,7 +248,7 @@ func Run(ctx context.Context, cfg Config, fn ChunkFunc) (Result, error) {
 				if i == nChunks-1 {
 					shots = cfg.Shots - i*cfg.ChunkShots
 				}
-				rng := rand.New(rand.NewSource(ChunkSeed(cfg.Seed, i)))
+				rng.Seed(ChunkSeed(cfg.Seed, i))
 				t, err := fn(i, rng, shots)
 				workerChunks[w].Inc()
 				results <- chunkResult{index: i, tally: t, err: err}

@@ -82,6 +82,42 @@ func TestFixedBudgetDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestChunkStreamsAreChunkSeedSources pins the stream contract: whichever
+// worker runs chunk i, and whatever it drew for earlier chunks, chunk i
+// draws exactly what a fresh source seeded with ChunkSeed(seed, i) draws.
+func TestChunkStreamsAreChunkSeedSources(t *testing.T) {
+	const chunks, draws = 9, 5
+	for _, workers := range []int{1, 2} {
+		got := make([][draws]float64, chunks)
+		cfg := Config{Shots: chunks * 64, ChunkShots: 64, Workers: workers, Seed: 5}
+		_, err := Run(context.Background(), cfg, func(i int, rng *rand.Rand, shots int) (Tally, error) {
+			// Chunks draw different amounts, so a stream that carried over
+			// between chunks would show.
+			for j := 0; j < i; j++ {
+				rng.Intn(7)
+			}
+			for j := range got[i] {
+				got[i][j] = rng.Float64()
+			}
+			return Tally{Shots: shots}, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range got {
+			want := rand.New(rand.NewSource(ChunkSeed(5, i)))
+			for j := 0; j < i; j++ {
+				want.Intn(7)
+			}
+			for j, v := range got[i] {
+				if w := want.Float64(); v != w {
+					t.Fatalf("workers=%d chunk %d draw %d: %v, want %v", workers, i, j, v, w)
+				}
+			}
+		}
+	}
+}
+
 func TestPartialFinalChunk(t *testing.T) {
 	var calls []int
 	cfg := Config{Shots: 100, ChunkShots: 64, Workers: 1, Seed: 1}

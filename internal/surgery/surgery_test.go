@@ -3,12 +3,15 @@ package surgery
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"surfstitch/internal/code"
 	"surfstitch/internal/device"
 	"surfstitch/internal/flagbridge"
+	"surfstitch/internal/grid"
 	"surfstitch/internal/synth"
 )
 
@@ -184,6 +187,77 @@ func TestPackCancellation(t *testing.T) {
 	_, err := Pack(ctx, device.HeavySquare(4, 7), twoPatchSpec(3, JointZZ), synth.Options{})
 	if !errors.Is(err, synth.ErrBudgetExceeded) {
 		t.Fatalf("want ErrBudgetExceeded, got %v", err)
+	}
+}
+
+// countdownCtx is a context whose Err turns Canceled at its nth call and
+// stays so, which cuts a search at a chosen check.
+type countdownCtx struct {
+	context.Context
+	n     int64
+	calls atomic.Int64
+}
+
+func (c *countdownCtx) Err() error {
+	if c.calls.Add(1) >= c.n {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestPlacementCutByCancelIsBudgetError cuts each placement search at
+// about 64 evenly spaced context checks and at its last one. Once a check
+// has seen the cancellation, the search must fail with ErrBudgetExceeded:
+// a layout from a partly walked anchor might not be the one an uncanceled
+// search picks, and "no placement" is not what happened. Allocate and Pack
+// stop at the first anchor with a feasible candidate; AllocateRelaxed
+// scans every anchor.
+func TestPlacementCutByCancelIsBudgetError(t *testing.T) {
+	type placed struct {
+		base, u, v grid.Coord
+		score      int
+	}
+	layout := func(l *synth.Layout, err error) (placed, error) {
+		if err != nil {
+			return placed{}, err
+		}
+		return placed{l.Base, l.U, l.V, l.Score}, nil
+	}
+	for _, search := range []struct {
+		name string
+		run  func(ctx context.Context) (placed, error)
+	}{
+		{"Allocate", func(ctx context.Context) (placed, error) {
+			return layout(synth.Allocate(ctx, device.Square(6, 6), 3, synth.ModeDefault))
+		}},
+		{"AllocateRelaxed", func(ctx context.Context) (placed, error) {
+			return layout(synth.AllocateRelaxed(ctx, device.Square(6, 6), 3, synth.ModeDefault))
+		}},
+		{"Pack", func(ctx context.Context) (placed, error) {
+			p, err := Pack(ctx, device.HeavySquare(4, 7), twoPatchSpec(3, JointZZ), synth.Options{})
+			if err != nil {
+				return placed{}, err
+			}
+			return placed{p.Base, p.U, p.V, p.Score}, nil
+		}},
+	} {
+		// Until its nth check a cut search runs exactly as the uncut one,
+		// so every n up to the uncut search's count cuts it.
+		uncut := &countdownCtx{Context: context.Background(), n: math.MaxInt64}
+		if _, err := search.run(uncut); err != nil {
+			t.Fatalf("%s: %v", search.name, err)
+		}
+		checks := uncut.calls.Load()
+		var cuts []int64
+		for n := int64(1); n < checks; n += max(checks/64, 1) {
+			cuts = append(cuts, n)
+		}
+		for _, n := range append(cuts, checks) {
+			got, err := search.run(&countdownCtx{Context: context.Background(), n: n})
+			if !errors.Is(err, synth.ErrBudgetExceeded) {
+				t.Fatalf("%s cut at context check %d of %d: got %+v (err %v), want ErrBudgetExceeded", search.name, n, checks, got, err)
+			}
+		}
 	}
 }
 

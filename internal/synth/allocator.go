@@ -134,7 +134,7 @@ func BridgeRectangles(dev *device.Device, mode Mode) []grid.Rect {
 			pts = append(pts, dev.Coord(nb))
 		}
 		if mode == ModeDefault && g.Degree(na) == 3 {
-			nb := nearestHighDegree(dev, na, 3)
+			nb := nearestHighDegree(dev, na, high)
 			if nb >= 0 {
 				pts = append(pts, dev.Coord(nb))
 				for _, nn := range g.Neighbors(nb) {
@@ -152,11 +152,12 @@ func BridgeRectangles(dev *device.Device, mode Mode) []grid.Rect {
 	return rects
 }
 
-// nearestHighDegree returns the high-degree qubit nearest to q (excluding
-// q), breaking ties toward smaller qubit id.
-func nearestHighDegree(dev *device.Device, q, minDeg int) int {
+// nearestHighDegree returns the qubit of high, the device's high-degree
+// qubits in id order, nearest to q (excluding q), breaking ties toward
+// smaller qubit id.
+func nearestHighDegree(dev *device.Device, q int, high []int) int {
 	best, bestDist := -1, 0
-	for _, cand := range dev.HighDegreeQubits(minDeg) {
+	for _, cand := range high {
 		if cand == q {
 			continue
 		}
@@ -237,9 +238,13 @@ type Ladder[T any] struct {
 // the degradation ladder). Under each anchor every lattice basis is tried,
 // smallest cell first, and the first feasible base of a basis is its
 // candidate. A candidate replaces the best only with a strictly lower
-// score, so the earliest wins ties. The context is checked before each
-// anchor, where cancellation returns a BudgetError, and before each basis,
-// where it ends the anchor.
+// score, so the earliest wins ties.
+//
+// The context is checked before each basis and after each rejected base,
+// since Try may reject a base because the context was canceled. A walk the
+// context cuts short could miss the candidate an uncanceled search picks,
+// so it returns a BudgetError and no candidate; a walk that completes
+// stands.
 func Place[T any](ctx context.Context, l Ladder[T]) (T, error) {
 	var best T
 	rects := BridgeRectangles(l.Dev, l.Mode)
@@ -252,19 +257,22 @@ func Place[T any](ctx context.Context, l Ladder[T]) (T, error) {
 	anchors := min(len(rects), 1+maxAnchorRetries)
 	uvs := latticeCandidates(l.Mode, maxPeriod)
 	found, bestScore, lattices := false, 0, 0
+	canceled := func(err error) (T, error) {
+		var none T
+		return none, &BudgetError{Stage: l.Stage, Cause: err}
+	}
 	for _, anchor := range rects[:anchors] {
-		if err := ctx.Err(); err != nil {
-			var none T
-			return none, &BudgetError{Stage: l.Stage, Cause: err}
-		}
 		lattices += len(uvs)
 		for _, uv := range uvs {
-			if ctx.Err() != nil {
-				break
+			if err := ctx.Err(); err != nil {
+				return canceled(err)
 			}
 			for _, base := range baseCandidates(l.Dev, anchor, uv[0], uv[1]) {
 				cand, score, ok := l.Try(base, uv[0], uv[1])
 				if !ok {
+					if err := ctx.Err(); err != nil {
+						return canceled(err)
+					}
 					continue
 				}
 				if !found || score < bestScore {
@@ -300,7 +308,7 @@ func Place[T any](ctx context.Context, l Ladder[T]) (T, error) {
 // stage 1 of the degradation ladder retries the search from alternative
 // anchors in deterministic order before reporting ErrNoPlacement.
 //
-// The context cancels the search between anchor evaluations; a canceled
+// The context cancels the search between candidate evaluations; a canceled
 // search returns a BudgetError (ErrBudgetExceeded).
 func Allocate(ctx context.Context, dev *device.Device, d int, mode Mode) (*Layout, error) {
 	return allocate(ctx, dev, d, mode, false)

@@ -228,14 +228,16 @@ func EstimatePointContext(ctx context.Context, in Input, p float64, cfg Config) 
 		span.SetAttr("stream_commit", cfg.Stream.Commit)
 		res, err = runStreaming(ctx, in.DetectorRounds, dec, sampler, mcCfg, *cfg.Stream, promote)
 	} else {
-		// Scratch arenas are pooled across chunks so each worker goroutine
-		// reuses its decode buffers (defect lists, matching edges, blossom
-		// state) for the whole point instead of reallocating per chunk.
-		scratch := sync.Pool{New: func() any { return dec.NewScratch() }}
+		// Worker states are pooled across chunks so each worker goroutine
+		// samples into the same planes and reuses its decode buffers
+		// (defect lists, matching edges, blossom state) for the whole point
+		// instead of reallocating per chunk.
+		workers := sync.Pool{New: func() any { return &chunkWorker{s: dec.NewScratch()} }}
 		res, err = mc.Run(ctx, mcCfg, func(_ int, rng *rand.Rand, shots int) (mc.Tally, error) {
-			s := scratch.Get().(*decoder.Scratch)
-			defer scratch.Put(s)
-			st, err := dec.DecodeRangeScratch(sampler.SampleChunk(rng, shots), 0, shots, s)
+			w := workers.Get().(*chunkWorker)
+			defer workers.Put(w)
+			sampler.SampleInto(&w.batch, rng, shots)
+			st, err := dec.DecodeRangeScratch(&w.batch, 0, shots, w.s)
 			return promote(st), err
 		})
 	}
@@ -255,17 +257,30 @@ const (
 	auxWindowCommits
 )
 
+// chunkWorker is one goroutine's whole-shot chunk state: the batch it
+// samples every chunk into and its decode scratch. The next chunk
+// overwrites the batch, so nothing may hold it past the chunk function.
+type chunkWorker struct {
+	batch frame.Batch
+	s     *decoder.Scratch
+}
+
 // streamWorker is one goroutine's streaming-decode state, pooled across
-// chunks like the whole-shot scratch arenas.
+// chunks like chunkWorker: the stream, the batch it samples every chunk
+// into, and one word's defect lists in CSR form.
 type streamWorker struct {
-	st  *decoder.Stream
-	buf []int
+	st    *decoder.Stream
+	batch frame.Batch
+	off   [65]int
+	dets  []int
 }
 
 // runStreaming is the sliding-window counterpart of the whole-shot chunk
 // loop: each shot of a sampled chunk is replayed round by round through a
 // pooled decoder.Stream, and the stream's committed prediction is compared
-// against the shot's actual observable flips.
+// against the shot's actual observable flips. Defects are extracted a word
+// at a time, and each shot's ascending list is sliced at the stream's round
+// boundaries.
 func runStreaming(ctx context.Context, detRound []int, dec *decoder.Decoder, sampler *frame.ChunkedSampler, mcCfg mc.Config, scfg decoder.StreamConfig, promote func(decoder.Stats) mc.Tally) (mc.Result, error) {
 	if len(detRound) == 0 {
 		return mc.Result{}, fmt.Errorf("streaming decode needs the detector round map; set Input.DetectorRounds")
@@ -280,7 +295,7 @@ func runStreaming(ctx context.Context, detRound []int, dec *decoder.Decoder, sam
 		if err != nil {
 			return (*streamWorker)(nil) // unreachable: geometry validated above
 		}
-		return &streamWorker{st: st, buf: make([]int, 0, 64)}
+		return &streamWorker{st: st}
 	}}
 	return mc.Run(ctx, mcCfg, func(_ int, rng *rand.Rand, shots int) (mc.Tally, error) {
 		w := streams.Get().(*streamWorker)
@@ -288,31 +303,37 @@ func runStreaming(ctx context.Context, detRound []int, dec *decoder.Decoder, sam
 			return mc.Tally{}, fmt.Errorf("stream construction failed for validated geometry")
 		}
 		defer streams.Put(w)
-		batch := sampler.SampleChunk(rng, shots)
+		batch := &w.batch
+		sampler.SampleInto(batch, rng, shots)
 		var st decoder.Stats
 		rounds := w.st.NumRounds()
-		for shot := 0; shot < shots; shot++ {
-			w.st.Reset()
-			k := 0
-			for r := 0; r < rounds; r++ {
-				lo, hi := w.st.RoundRange(r)
-				w.buf = batch.AppendShotDetectorsRange(w.buf[:0], shot, lo, hi)
-				k += len(w.buf)
-				if err := w.st.PushRound(w.buf); err != nil {
+		for word := 0; word < batch.Words; word++ {
+			end := min(shots-word*64, 64)
+			w.dets = batch.WordDetectors(word, ^uint64(0)>>uint(64-end), &w.off, w.dets)
+			for i := 0; i < end; i++ {
+				defects := w.dets[w.off[i]:w.off[i+1]]
+				k := len(defects)
+				w.st.Reset()
+				for r := 0; r < rounds; r++ {
+					_, hi := w.st.RoundRange(r)
+					n := 0
+					for n < len(defects) && defects[n] < hi {
+						n++
+					}
+					if err := w.st.PushRound(defects[:n]); err != nil {
+						return mc.Tally{}, err
+					}
+					defects = defects[n:]
+				}
+				pred, err := w.st.Finish()
+				if err != nil {
 					return mc.Tally{}, err
 				}
-			}
-			pred, err := w.st.Finish()
-			if err != nil {
-				return mc.Tally{}, err
-			}
-			if k >= decoder.KHistBuckets {
-				k = decoder.KHistBuckets - 1
-			}
-			st.KHist[k]++
-			st.Shots++
-			if pred != batch.ObservableMask(shot) {
-				st.LogicalErrors++
+				st.KHist[min(k, decoder.KHistBuckets-1)]++
+				st.Shots++
+				if pred != batch.ObservableMask(word*64+i) {
+					st.LogicalErrors++
+				}
 			}
 		}
 		ss := w.st.TakeStats()
