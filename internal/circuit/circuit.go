@@ -182,8 +182,10 @@ func (c *Circuit) CountOp(op Op) int {
 // ops with even target lists and distinct pair members, gate disjointness
 // within each moment, and detector/observable indices within the record.
 func (c *Circuit) Validate() error {
+	// used[q] holds one more than the index of the last moment whose gates
+	// touch qubit q; checkTargets bounds every index before it is read.
+	used := make([]int, c.NumQubits)
 	for mi, m := range c.Moments {
-		used := map[int]bool{}
 		for _, g := range m.Gates {
 			if g.Op.IsNoise() {
 				return fmt.Errorf("circuit: moment %d has noise op %v in gate list", mi, g.Op)
@@ -192,10 +194,10 @@ func (c *Circuit) Validate() error {
 				return fmt.Errorf("circuit: moment %d: %w", mi, err)
 			}
 			for _, q := range g.Qubits {
-				if used[q] {
+				if used[q] == mi+1 {
 					return fmt.Errorf("circuit: moment %d uses qubit %d twice", mi, q)
 				}
-				used[q] = true
+				used[q] = mi + 1
 			}
 		}
 		for _, g := range m.Noise {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sync/atomic"
 	"testing"
 
 	"surfstitch/internal/circuit"
@@ -19,7 +18,7 @@ import (
 
 // The decode benchmarks sample fixed-seed batches of benchShots shots, at
 // benchP, or at benchPK3 for the rows restricted to syndromes with at least
-// three defects (the k>=3 tail that skips the closed forms).
+// three defects (the k>=3 tail union-find can take).
 const (
 	benchShots = 4096
 	benchP     = 0.002
@@ -30,13 +29,13 @@ const (
 type benchRow struct {
 	name string
 	opts Options
-	// blossomOnly times decodeBlossom on every non-empty defect set: the
-	// exact reference, with no closed forms and no cache.
-	blossomOnly bool
+	// uncached times the matcher on every non-empty defect set, with no
+	// syndrome cache.
+	uncached bool
 }
 
 var (
-	fastRows = []benchRow{{name: "fast"}, {name: "blossom-only", blossomOnly: true}}
+	fastRows = []benchRow{{name: "fast"}, {name: "uncached", uncached: true}}
 	ufRows   = []benchRow{{name: "uf", opts: Options{UnionFind: true}}, {name: "blossom"}}
 )
 
@@ -145,17 +144,17 @@ func benchRows(b *testing.B, label string, model *dem.Model, sets [][]int, rows 
 			if err != nil {
 				b.Fatal(err)
 			}
-			benchDecode(b, dec, sets, r.blossomOnly)
+			benchDecode(b, dec, sets, r.uncached)
 		})
 	}
 }
 
 // benchDecode times b.N passes over the defect sets and reports ns/shot.
-// One untimed pass first warms the lazy rows, the union-find graph and the
-// scratch; every timed pass then starts from an empty syndrome cache, so
-// hits are only the repeats within one pass, never replays of an earlier
-// one. Rows that use the cache also report the last pass's hit ratio.
-func benchDecode(b *testing.B, dec *Decoder, sets [][]int, blossomOnly bool) {
+// One untimed pass first warms the union-find graph and the scratch; every
+// timed pass then starts from an empty syndrome cache, so hits are only the
+// repeats within one pass, never replays of an earlier one. Rows that use
+// the cache also report the last pass's hit ratio.
+func benchDecode(b *testing.B, dec *Decoder, sets [][]int, uncached bool) {
 	s := dec.NewScratch()
 	pass := func() (hits, lookups int) {
 		for _, defects := range sets {
@@ -164,8 +163,8 @@ func benchDecode(b *testing.B, dec *Decoder, sets [][]int, blossomOnly bool) {
 			}
 			var hit bool
 			var err error
-			if blossomOnly {
-				_, _, err = dec.decodeBlossom(defects, s)
+			if uncached {
+				_, _, err = dec.decodeMiss(defects, s)
 			} else {
 				_, hit, _, err = dec.decode(defects, s)
 			}
@@ -191,14 +190,14 @@ func benchDecode(b *testing.B, dec *Decoder, sets [][]int, blossomOnly bool) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(sets)), "ns/shot")
-	if !blossomOnly && lookups > 0 {
+	if !uncached && lookups > 0 {
 		b.ReportMetric(float64(hits)/float64(lookups), "cache-hit-ratio")
 	}
 }
 
-// BenchmarkFastPath times the fast path (closed forms, syndrome cache,
-// blossom for k>=3) against the blossom-only reference on synthesized
-// square-tiling memories.
+// BenchmarkFastPath times the full decode path (syndrome cache, then the
+// matcher) against the uncached matcher on synthesized square-tiling
+// memories.
 func BenchmarkFastPath(b *testing.B) {
 	for _, d := range []int{3, 5, 7} {
 		model, _, batch := squareBatch(b, d, benchP)
@@ -206,8 +205,8 @@ func BenchmarkFastPath(b *testing.B) {
 	}
 }
 
-// BenchmarkUnionFindK3 times union-find against blossom on the shots of
-// square-tiling memories at benchPK3 that carry at least three defects.
+// BenchmarkUnionFindK3 times union-find against the matcher on the shots
+// of square-tiling memories at benchPK3 that carry at least three defects.
 func BenchmarkUnionFindK3(b *testing.B) {
 	for _, d := range []int{3, 5, 7} {
 		model, _, batch := squareBatch(b, d, benchPK3)
@@ -215,65 +214,89 @@ func BenchmarkUnionFindK3(b *testing.B) {
 	}
 }
 
-// BenchmarkUnionFindMerged times union-find against blossom on the merged
-// graph of a distance-5 two-patch ZZ lattice-surgery circuit.
+// BenchmarkUnionFindMerged times union-find against the matcher on the
+// merged graph of a distance-5 two-patch ZZ lattice-surgery circuit.
 func BenchmarkUnionFindMerged(b *testing.B) {
 	model, batch := mergedBatch(b, 5)
 	benchRows(b, "d=5", model, defectSets(batch, 0), ufRows)
 }
 
-// BenchmarkRows times every shortest-path row of a freshly compiled decoder
-// for the heavy-hexagon d=5 memory over 15 rounds at benchP, on one reused
-// scratch: the work a verify pass or the first shots of a point do before
-// decoding reaches steady state.
-func BenchmarkRows(b *testing.B) {
-	_, mem := fittedMemory(b, device.KindHeavyHexagon, 5, 15)
-	c, err := mem.Noisy(noise.Uniform(benchP))
+// pointDecodeChunk compiles the decoder of the point-decode benchmark
+// workload — the heavy-hexagon d=5 memory on a 5x4 device over 15 rounds at
+// p=0.002, with the default idle noise on every qubit — and samples one
+// 1024-shot chunk of it. It also returns the detector error model, for
+// decoders compiled fresh.
+func pointDecodeChunk(tb testing.TB) (*Decoder, *dem.Model, *frame.Batch) {
+	tb.Helper()
+	s, err := synth.Synthesize(context.Background(), device.HeavyHexagon(5, 4), 5, synth.Options{})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	model, err := dem.FromCircuit(c)
+	mem, err := experiment.NewMemory(s, 15, experiment.Options{SkipVerify: true})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
+	c, err := mem.Noisy(noise.Model{GateError: 0.002, IdleError: noise.DefaultIdleError, IdleOnly: s.AllQubits()})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	model, batch := sampleBatch(tb, c, 1, 1024)
 	dec, err := New(model)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	s := dec.NewScratch()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		dec.rows = make([]atomic.Pointer[pathRow], len(dec.rows))
-		b.StartTimer()
-		for src := range dec.rows {
-			dec.row(src, s)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(dec.rows)), "ns/row")
+	return dec, model, batch
 }
 
-// BenchmarkDecodeRange times DecodeRangeScratch over a point-sparse chunk
-// on a warm scratch and syndrome cache: the steady state of a
-// sub-threshold point, where extracting each shot's defects and looking the
-// sparse syndrome up dominate.
+// BenchmarkDecodeRange times DecodeRangeScratch over one Monte-Carlo chunk
+// in ns/shot: a point-sparse chunk on a warm scratch and syndrome cache,
+// the steady state of a sub-threshold point, where extracting each shot's
+// defects and looking the sparse syndrome up dominate; and a point-decode
+// chunk near threshold, where every shot reaches the matcher, both on a
+// freshly compiled decoder with a new scratch (the first chunk of a point)
+// and on a warm decoder and scratch from an empty syndrome cache.
 func BenchmarkDecodeRange(b *testing.B) {
-	dec, batch := pointSparseChunk(b)
-	s := dec.NewScratch()
-	if _, err := dec.DecodeRangeScratch(batch, 0, batch.Shots, s); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	// warm times passes on one decoder and scratch, each from an empty
+	// syndrome cache when coldCache is set.
+	warm := func(b *testing.B, dec *Decoder, batch *frame.Batch, coldCache bool) {
+		s := dec.NewScratch()
 		if _, err := dec.DecodeRangeScratch(batch, 0, batch.Shots, s); err != nil {
 			b.Fatal(err)
 		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if coldCache {
+				b.StopTimer()
+				dec.cache = newSynCache(cacheSize)
+				b.StartTimer()
+			}
+			if _, err := dec.DecodeRangeScratch(batch, 0, batch.Shots, s); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch.Shots), "ns/shot")
 	}
-	b.StopTimer()
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch.Shots), "ns/shot")
+	b.Run("point-sparse/warm", func(b *testing.B) {
+		dec, batch := pointSparseChunk(b)
+		warm(b, dec, batch, false)
+	})
+	dec, model, batch := pointDecodeChunk(b)
+	b.Run("point-decode/warm", func(b *testing.B) { warm(b, dec, batch, true) })
+	b.Run("point-decode/fresh", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			dec, err := New(model)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := dec.DecodeRangeScratch(batch, 0, batch.Shots, dec.NewScratch()); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch.Shots), "ns/shot")
+	})
 }
 
 // BenchmarkStream times sliding-window streaming decode — a 3-round window

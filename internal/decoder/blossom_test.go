@@ -1,7 +1,6 @@
 package decoder
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -9,57 +8,18 @@ import (
 	"surfstitch/internal/circuit"
 	"surfstitch/internal/dem"
 	"surfstitch/internal/device"
-	"surfstitch/internal/matching"
 	"surfstitch/internal/noise"
 	"surfstitch/internal/synth"
 )
 
-// denseBlossom is the image-graph matching that decodeBlossom reduces, kept
-// as its exactness oracle. Nodes 0..k-1 are the defects and k..2k-1 their
-// boundary images, interconnected with zero-weight edges so that any
-// subset of them can pair off among themselves; defect i reaches its own
-// image at its boundary weight. It returns the predicted observable mask
-// and the matching weight, or the unmatchable error.
-func denseBlossom(d *Decoder, defects []int) (uint64, int64, error) {
-	k := len(defects)
-	s := d.NewScratch()
-	edges := make([]matching.Edge, 0, k*k)
-	for i := 0; i < k; i++ {
-		ri := d.row(defects[i], s)
-		for j := i + 1; j < k; j++ {
-			if w := quantWeight(ri.dist[defects[j]]); w >= 0 {
-				edges = append(edges, matching.Edge{U: i, V: j, W: w})
-			}
-			edges = append(edges, matching.Edge{U: k + i, V: k + j, W: 0})
-		}
-		if w := quantWeight(ri.dist[d.boundary]); w >= 0 {
-			edges = append(edges, matching.Edge{U: i, V: k + i, W: w})
-		}
-	}
-	mate, err := matching.MinWeightPerfectMatching(2*k, edges)
-	if err != nil {
-		return 0, 0, fmt.Errorf("decoder: defects unmatchable: %w", err)
-	}
-	var obs uint64
-	for i := 0; i < k; i++ {
-		switch m := mate[i]; {
-		case m == k+i: // matched to the boundary
-			obs ^= d.row(defects[i], s).mask[d.boundary]
-		case m < k && m > i: // defect-defect pair, counted once
-			obs ^= d.row(defects[i], s).mask[defects[m]]
-		}
-	}
-	return obs, matching.MatchingWeight(edges, mate), nil
-}
-
-// checkDense decodes one defect set with decodeBlossom on s and with the
+// checkDense decodes one defect set with the Galil reference and with the
 // dense oracle, and requires equal matching weights and an unmatchable
 // error on both or neither. It reports whether the predictions differ,
 // which a weight-equal tie may make them do.
-func checkDense(t *testing.T, dec *Decoder, s *Scratch, defects []int) bool {
+func checkDense(t *testing.T, g *galil, defects []int) bool {
 	t.Helper()
-	got, gotW, gotErr := dec.decodeBlossom(defects, s)
-	want, wantW, wantErr := denseBlossom(dec, defects)
+	pairs, gotW, gotErr := g.decode(defects)
+	want, wantW, wantErr := denseBlossom(g, defects)
 	if (gotErr != nil) != (wantErr != nil) {
 		t.Fatalf("defects %v: reduced err=%v, dense err=%v", defects, gotErr, wantErr)
 	}
@@ -69,7 +29,7 @@ func checkDense(t *testing.T, dec *Decoder, s *Scratch, defects []int) bool {
 	if gotW != wantW {
 		t.Fatalf("defects %v: reduced matching weight %d, dense %d", defects, gotW, wantW)
 	}
-	return got != want
+	return pairsObs(pairs) != want
 }
 
 // sampledSets samples shots of a noisy circuit with a fixed seed and
@@ -85,13 +45,35 @@ func sampledSets(t *testing.T, c *circuit.Circuit, seed int64, shots, minK int) 
 	return dec, defectSets(batch, minK)
 }
 
-// TestBlossomMatchesDenseReference is the exactness gate of the k-node
-// reduction: on every input its matching weight equals the dense image
-// graph's and it fails on exactly the defect sets the dense graph fails on.
-// Equal-probability models make weight ties common, and a tie may resolve
-// to another minimum matching, so predictions are compared only on the
-// tilings' sampled batches, where they must be identical.
-func TestBlossomMatchesDenseReference(t *testing.T) {
+// referenceCase is one decoder of the reference inputs, with its Galil
+// reference, a matcher scratch and the defect sets to check on it.
+// Sampled marks the tilings' sampled batches, where weight ties are rare.
+type referenceCase struct {
+	dec     *Decoder
+	g       *galil
+	s       *Scratch
+	sets    [][]int
+	sampled bool
+}
+
+// forReferenceInputs runs check, in one subtest per input family, on every
+// reference input: 20 random models, each also with every probability set
+// equal so that weight ties are common; equal-weight chains; sampled
+// batches of the five tilings at d=3 and 5 (d=3 only under -short or the
+// race detector); the merged two-patch ZZ graph at d=3; and the IBM
+// heavy-hexagon d=5 baseline over 15 rounds.
+func forReferenceInputs(t *testing.T, check func(t *testing.T, c referenceCase)) {
+	newCase := func(t *testing.T, model *dem.Model, sets [][]int, sampled bool) referenceCase {
+		dec, err := New(model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return referenceCase{dec: dec, g: newGalil(dec), s: dec.NewScratch(), sets: sets, sampled: sampled}
+	}
+	sampledCase := func(t *testing.T, c *circuit.Circuit, seed int64, shots int) referenceCase {
+		model, batch := sampleBatch(t, c, seed, shots)
+		return newCase(t, model, defectSets(batch, 1), true)
+	}
 	t.Run("random-models", func(t *testing.T) {
 		for seed := int64(1); seed <= 20; seed++ {
 			rng := rand.New(rand.NewSource(seed))
@@ -103,44 +85,34 @@ func TestBlossomMatchesDenseReference(t *testing.T) {
 				flat.Mechanisms = append(flat.Mechanisms, mech)
 			}
 			for _, m := range []*dem.Model{model, flat} {
-				dec, err := New(m)
-				if err != nil {
-					t.Fatal(err)
-				}
-				s := dec.NewScratch()
+				var sets [][]int
 				for _, mech := range m.Mechanisms {
-					checkDense(t, dec, s, mech.Detectors)
+					sets = append(sets, mech.Detectors)
 				}
 				for trial := 0; trial < 200; trial++ {
-					checkDense(t, dec, s, randomDefects(rng, numDet, 12))
+					sets = append(sets, randomDefects(rng, numDet, 12))
 				}
+				check(t, newCase(t, m, sets, false))
 			}
 		}
 	})
 	t.Run("equal-chain", func(t *testing.T) {
 		rng := rand.New(rand.NewSource(3))
 		for _, numDet := range []int{10, 25, 60} {
-			dec, err := New(chainModel(numDet, []float64{0.01}))
-			if err != nil {
-				t.Fatal(err)
-			}
-			s := dec.NewScratch()
+			var sets [][]int
 			for trial := 0; trial < 300; trial++ {
-				checkDense(t, dec, s, randomDefects(rng, numDet, 12))
+				sets = append(sets, randomDefects(rng, numDet, 12))
 			}
+			check(t, newCase(t, chainModel(numDet, []float64{0.01}), sets, false))
 		}
 	})
 	t.Run("tilings", func(t *testing.T) {
-		kinds := []device.Kind{
-			device.KindSquare, device.KindHexagon, device.KindOctagon,
-			device.KindHeavySquare, device.KindHeavyHexagon,
-		}
 		shots := map[int]int{3: 1000, 5: 200}
 		distances := []int{3, 5}
 		if testing.Short() || raceEnabled {
 			distances = []int{3}
 		}
-		for _, kind := range kinds {
+		for _, kind := range device.AllKinds() {
 			for _, d := range distances {
 				_, mem := fittedMemory(t, kind, d, d)
 				for _, p := range []float64{0.001, 0.002, 0.01} {
@@ -148,23 +120,13 @@ func TestBlossomMatchesDenseReference(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					dec, sets := sampledSets(t, c, int64(100*d)+int64(kind), shots[d], 1)
-					s := dec.NewScratch()
-					for _, defects := range sets {
-						if checkDense(t, dec, s, defects) {
-							t.Fatalf("%v d=%d p=%g defects %v: reduced and dense predictions differ", kind, d, p, defects)
-						}
-					}
+					check(t, sampledCase(t, c, int64(100*d)+int64(kind), shots[d]))
 				}
 			}
 		}
 	})
 	t.Run("merged-zz-d3", func(t *testing.T) {
-		dec, sets := sampledSets(t, mergedCircuit(t, 3), 7, 1000, 1)
-		s := dec.NewScratch()
-		for _, defects := range sets {
-			checkDense(t, dec, s, defects)
-		}
+		check(t, sampledCase(t, mergedCircuit(t, 3), 7, 1000))
 	})
 	t.Run("ibm-heavy-hexagon-d5", func(t *testing.T) {
 		dev, _, err := synth.FitDevice(device.KindHeavyHexagon, 5, synth.ModeDefault)
@@ -187,15 +149,45 @@ func TestBlossomMatchesDenseReference(t *testing.T) {
 		if testing.Short() || raceEnabled {
 			shots = 50
 		}
-		dec, sets := sampledSets(t, c, 9, shots, 1)
-		s := dec.NewScratch()
-		for _, defects := range sets {
-			checkDense(t, dec, s, defects)
+		check(t, sampledCase(t, c, 9, shots))
+	})
+}
+
+// TestBlossomMatchesDenseReference is the exactness gate of the Galil
+// reference's k-node reduction: on every reference input its matching
+// weight equals the dense image graph's and it fails on exactly the defect
+// sets the dense graph fails on. A weight tie may resolve to another
+// minimum matching, so predictions are compared only on the tilings'
+// sampled batches, where they must be identical.
+func TestBlossomMatchesDenseReference(t *testing.T) {
+	forReferenceInputs(t, func(t *testing.T, c referenceCase) {
+		for _, defects := range c.sets {
+			if checkDense(t, c.g, defects) && c.sampled && t.Name() == "TestBlossomMatchesDenseReference/tilings" {
+				t.Fatalf("defects %v: reduced and dense predictions differ", defects)
+			}
 		}
 	})
 }
 
-// TestBlossomZeroAlloc gates the blossom at zero allocations a shot in
+// TestMatcherOracle holds the matcher to the oracle (checkOracle) on every
+// reference input, and reports how many sampled predictions differ from
+// the Galil reference's through a choice between equal-weight corrections.
+func TestMatcherOracle(t *testing.T) {
+	forReferenceInputs(t, func(t *testing.T, c referenceCase) {
+		differ, total := 0, 0
+		for _, defects := range c.sets {
+			if _, differs, _ := checkOracle(t, c.dec, c.g, c.s, defects); differs {
+				differ++
+			}
+			total++
+		}
+		if c.sampled {
+			t.Logf("%d of %d sampled predictions differ from the reference's", differ, total)
+		}
+	})
+}
+
+// TestBlossomZeroAlloc gates the matcher at zero allocations a shot in
 // steady state: on the k>=3 syndromes of the heavy-hexagon d=5 memory over
 // 15 rounds at p=0.002, where every shot reaches the matcher, a pass on a
 // warm scratch allocates nothing.
@@ -209,13 +201,13 @@ func TestBlossomZeroAlloc(t *testing.T) {
 	s := dec.NewScratch()
 	pass := func() {
 		for _, defects := range sets {
-			if _, _, err := dec.decodeBlossom(defects, s); err != nil {
+			if _, err := dec.matchPairs(defects, &s.m); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
 	pass()
 	if allocs := testing.AllocsPerRun(1, pass); allocs != 0 {
-		t.Fatalf("blossom allocates %.1f times a pass over %d syndromes at steady state; want 0", allocs, len(sets))
+		t.Fatalf("the matcher allocates %.1f times a pass over %d syndromes at steady state; want 0", allocs, len(sets))
 	}
 }

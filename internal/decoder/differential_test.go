@@ -57,15 +57,15 @@ func randomDefects(rng *rand.Rand, numDet, maxK int) []int {
 	return dets
 }
 
-// diffDecoders compares a decoder's full path against the blossom-only
-// reference — decodeBlossom on ref, a decoder compiled separately, with a
-// fresh scratch so no matcher state carries across shots — on one defect
-// set: identical predictions, and errors (unmatchable sets) on both or
-// neither. It returns the reference prediction.
-func diffDecoders(t *testing.T, fast, ref *Decoder, s *Scratch, defects []int) uint64 {
+// diffDecoders holds a decoder's full path — syndrome cache and scratch s
+// — on one defect set to the matcher on ref, a decoder compiled
+// separately, with its own scratch: identical predictions, and errors
+// (unmatchable sets) on both or neither. The matcher on ref must pass
+// checkOracle against the Galil reference g. It returns the prediction.
+func diffDecoders(t *testing.T, fast, ref *Decoder, g *galil, s *Scratch, defects []int) uint64 {
 	t.Helper()
 	got, gotErr := fast.DecodeWithScratch(defects, s)
-	want, _, wantErr := ref.decodeBlossom(defects, ref.NewScratch())
+	want, _, wantErr := checkOracle(t, ref, g, ref.NewScratch(), defects)
 	if (gotErr != nil) != (wantErr != nil) {
 		t.Fatalf("defects %v: fast err=%v, reference err=%v", defects, gotErr, wantErr)
 	}
@@ -89,12 +89,12 @@ func TestFastPathMatchesSlowPathOnRandomModels(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := fast.NewScratch()
+		s, g := fast.NewScratch(), newGalil(ref)
 		for _, mech := range model.Mechanisms {
-			diffDecoders(t, fast, ref, s, mech.Detectors)
+			diffDecoders(t, fast, ref, g, s, mech.Detectors)
 		}
 		for trial := 0; trial < 200; trial++ {
-			diffDecoders(t, fast, ref, s, randomDefects(rng, numDet, 8))
+			diffDecoders(t, fast, ref, g, s, randomDefects(rng, numDet, 8))
 		}
 	}
 }
@@ -185,10 +185,10 @@ func TestFastPathMatchesSlowPathOnSynthesizedCircuits(t *testing.T) {
 				// Synthesize defect sets from the model itself: every
 				// mechanism signature, plus random unions of two and three
 				// signatures (realistic multi-fault shots, k up to ~8).
-				s := fast.NewScratch()
+				s, g := fast.NewScratch(), newGalil(ref)
 				rng := rand.New(rand.NewSource(int64(100*d) + int64(kind)))
 				for _, mech := range model.Mechanisms {
-					diffDecoders(t, fast, ref, s, mech.Detectors)
+					diffDecoders(t, fast, ref, g, s, mech.Detectors)
 				}
 				for trial := 0; trial < 150; trial++ {
 					set := map[int]bool{}
@@ -205,7 +205,7 @@ func TestFastPathMatchesSlowPathOnSynthesizedCircuits(t *testing.T) {
 						}
 					}
 					sortInts(defects)
-					diffDecoders(t, fast, ref, s, defects)
+					diffDecoders(t, fast, ref, g, s, defects)
 				}
 			})
 		}
@@ -214,9 +214,10 @@ func TestFastPathMatchesSlowPathOnSynthesizedCircuits(t *testing.T) {
 
 func TestFastPathMatchesSlowPathOnSampledBatches(t *testing.T) {
 	// End to end over sampled batches: every shot's prediction matches the
-	// blossom-only reference, and DecodeBatch counts the reference's logical
-	// errors. The inputs are repetition memories at p=0.02 and the
-	// heavy-square memory of the decoder ablations.
+	// uncached matcher on a separately compiled decoder, which passes the
+	// oracle, and DecodeBatch counts that reference's logical errors. The
+	// inputs are repetition memories at p=0.02 and the heavy-square memory
+	// of the decoder ablations.
 	type input struct {
 		name  string
 		c     *circuit.Circuit
@@ -252,10 +253,10 @@ func TestFastPathMatchesSlowPathOnSampledBatches(t *testing.T) {
 				t.Fatal(err)
 			}
 			batch := sampler.Sample(in.shots)
-			s := fast.NewScratch()
+			s, g := fast.NewScratch(), newGalil(ref)
 			refErrors := 0
 			for shot := 0; shot < batch.Shots; shot++ {
-				if diffDecoders(t, fast, ref, s, batch.ShotDetectors(shot)) != batch.ObservableMask(shot) {
+				if diffDecoders(t, fast, ref, g, s, batch.ShotDetectors(shot)) != batch.ObservableMask(shot) {
 					refErrors++
 				}
 			}
@@ -268,36 +269,6 @@ func TestFastPathMatchesSlowPathOnSampledBatches(t *testing.T) {
 					stats, batch.Shots, refErrors)
 			}
 		})
-	}
-}
-
-func TestLazyRowsComputedOnDemand(t *testing.T) {
-	c := noise.Uniform(0.01).MustApply(repetitionMemory(5, 5))
-	model, err := dem.FromCircuit(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fast, err := New(model)
-	if err != nil {
-		t.Fatal(err)
-	}
-	countRows := func(d *Decoder) (n int) {
-		for i := range d.rows {
-			if d.rows[i].Load() != nil {
-				n++
-			}
-		}
-		return
-	}
-	if got := countRows(fast); got != 0 {
-		t.Fatalf("fast path precomputed %d rows at compile time", got)
-	}
-	if _, err := fast.Decode([]int{0, 1}); err != nil {
-		t.Fatal(err)
-	}
-	got := countRows(fast)
-	if got == 0 || got > 2 {
-		t.Fatalf("after a 2-defect decode, %d rows computed (want 1..2)", got)
 	}
 }
 
@@ -326,16 +297,17 @@ func TestSyndromeCacheCountersAndBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	nonEmpty, refErrors := 0, 0
+	rs := ref.NewScratch()
 	for shot := 0; shot < batch.Shots; shot++ {
 		defects := batch.ShotDetectors(shot)
 		if len(defects) > 0 {
 			nonEmpty++
 		}
-		want, _, err := ref.decodeBlossom(defects, ref.NewScratch())
+		pairs, err := ref.matchPairs(defects, &rs.m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want != batch.ObservableMask(shot) {
+		if pairsObs(pairs) != batch.ObservableMask(shot) {
 			refErrors++
 		}
 	}

@@ -1,73 +1,20 @@
 package decoder
 
 import (
-	"container/heap"
 	"fmt"
-	"math"
 	"math/rand"
-	"sync/atomic"
 	"testing"
 
 	"surfstitch/internal/dem"
 	"surfstitch/internal/device"
 )
 
-// pqItem and pq are the boxed container/heap queue the typed rowHeap
-// replaced, kept as the reference for its pop order.
-type pqItem struct {
-	node int
-	dist float64
-}
-
-type pq []pqItem
-
-func (p pq) Len() int            { return len(p) }
-func (p pq) Less(i, j int) bool  { return p[i].dist < p[j].dist }
-func (p pq) Swap(i, j int)       { p[i], p[j] = p[j], p[i] }
-func (p *pq) Push(x interface{}) { *p = append(*p, x.(pqItem)) }
-func (p *pq) Pop() interface{} {
-	old := *p
-	it := old[len(old)-1]
-	*p = old[:len(old)-1]
-	return it
-}
-
-// refDijkstra is the shortest-path row as the decoder computed it on the
-// boxed heap, with a settled set, over the same CSR graph.
-func refDijkstra(d *Decoder, src int) ([]float64, []uint64) {
-	n := d.numDet + 1
-	dist := make([]float64, n)
-	mask := make([]uint64, n)
-	done := make([]bool, n)
-	for i := range dist {
-		dist[i] = math.Inf(1)
-	}
-	dist[src] = 0
-	q := &pq{{node: src}}
-	for q.Len() > 0 {
-		it := heap.Pop(q).(pqItem)
-		u := it.node
-		if done[u] {
-			continue
-		}
-		done[u] = true
-		for e := d.off[u]; e < d.off[u+1]; e++ {
-			v := int(d.to[e])
-			nd := dist[u] + d.w[e]
-			if nd < dist[v] {
-				dist[v] = nd
-				mask[v] = mask[u] ^ d.obs[e]
-				heap.Push(q, pqItem{node: v, dist: nd})
-			}
-		}
-	}
-	return dist, mask
-}
-
 // checkRows asserts that every node lists its neighbours in strictly
-// ascending order — the order the decoder's adjacency lists always had —
-// and that every row of a freshly compiled decoder matches refDijkstra bit
-// for bit: the exact bits of each distance, and each path mask.
+// ascending order, the order the matcher floods them in, and holds the
+// oracle's two searches to each other on every source of a freshly
+// compiled decoder: each shortest-path row entry, which the Galil
+// reference matches on, equals the least state-row distance over all
+// observable masks, and the row's path mask is realizable at it.
 func checkRows(t *testing.T, model *dem.Model) {
 	t.Helper()
 	d, err := New(model)
@@ -82,22 +29,30 @@ func checkRows(t *testing.T, model *dem.Model) {
 			}
 		}
 	}
-	s := d.NewScratch()
+	g := newGalil(d)
+	sh := uint(d.numObs)
 	for src := 0; src < n; src++ {
-		r := d.row(src, s)
-		dist, mask := refDijkstra(d, src)
+		r, st := g.row(src), g.stateRow(src)
 		for v := 0; v < n; v++ {
-			if math.Float64bits(r.dist[v]) != math.Float64bits(dist[v]) || r.mask[v] != mask[v] {
-				t.Fatalf("row %d, node %d: (%v, %b), reference (%v, %b)",
-					src, v, r.dist[v], r.mask[v], dist[v], mask[v])
+			least := int64(-1)
+			for mask := 0; mask < 1<<sh; mask++ {
+				if w := st[v<<sh|mask]; w >= 0 && (least < 0 || w < least) {
+					least = w
+				}
+			}
+			if r.dist[v] != least {
+				t.Fatalf("row %d, node %d: distance %d, least state distance %d", src, v, r.dist[v], least)
+			}
+			if least >= 0 && st[v<<sh|int(r.mask[v])] != least {
+				t.Fatalf("row %d, node %d: mask %b is not realizable at distance %d", src, v, r.mask[v], least)
 			}
 		}
 	}
 }
 
 // tiedModel is a random graphlike model whose edge probabilities come from
-// three values, so that equal-weight paths, and with them the heap's
-// tie-break order, are common. Each detector pair carries at most one
+// three values, so that equal-weight paths, and with them ties between
+// path masks, are common. Each detector pair carries at most one
 // mechanism, so no XOR-merge dilutes the ties.
 func tiedModel(rng *rand.Rand, numDet int) *dem.Model {
 	probs := []float64{0.01, 0.03, 0.1}
@@ -125,11 +80,11 @@ func tiedModel(rng *rand.Rand, numDet int) *dem.Model {
 	return m
 }
 
-// TestRowsMatchBoxedHeapReference holds the typed heap to the boxed heap's
-// pop order on the synthesized memories of all five tilings, a merged
-// two-patch graph and random graphs full of exact ties. The differential
-// decode tests cannot see a change of order: their two decoders share one
-// dijkstra, and randomModel's continuous probabilities rarely tie.
+// TestRowsMatchBoxedHeapReference holds the oracle's boxed-heap
+// shortest-path rows to its boxed-heap state-space search (checkRows) on
+// the synthesized memories of all five tilings, a merged two-patch graph
+// and random graphs full of exact ties: the weight and realizability
+// checks of the matcher's oracle rest on the two agreeing.
 func TestRowsMatchBoxedHeapReference(t *testing.T) {
 	distances := []int{3, 5}
 	ps := []float64{0.001, 0.002, 0.005}
@@ -160,28 +115,4 @@ func TestRowsMatchBoxedHeapReference(t *testing.T) {
 			checkRows(t, tiedModel(rng, 60))
 		}
 	})
-}
-
-// TestRowHeapZeroAlloc gates the row computation: with a scratch warmed on
-// the same graph, a new row allocates only what it publishes — its distance
-// and mask slices and the row itself — however large the graph.
-func TestRowHeapZeroAlloc(t *testing.T) {
-	model, _, _ := synthesizedNoisyMemory(t, device.KindHeavyHexagon, 5, 0.002)
-	d, err := New(model)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := d.NewScratch()
-	for src := range d.rows {
-		d.row(src, s)
-	}
-	d.rows = make([]atomic.Pointer[pathRow], len(d.rows))
-	src := 0
-	allocs := testing.AllocsPerRun(len(d.rows)-1, func() {
-		d.row(src, s)
-		src++
-	})
-	if allocs > 3 {
-		t.Fatalf("a new row allocates %.1f times on a warm scratch; want at most 3 (dist, mask, row)", allocs)
-	}
 }

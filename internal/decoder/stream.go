@@ -204,7 +204,7 @@ func (st *Stream) decodeWindow(hi, commitHi int) error {
 	if len(st.defects) > 0 {
 		st.stats.UFShots++
 		if _, err := st.g.Decode(st.defects, st.ufs); err != nil {
-			// No blossom escape hatch mid-stream: a stuck cluster means
+			// No matcher escape hatch mid-stream: a stuck cluster means
 			// the defect set is unmatchable on this graph, which whole-
 			// shot decoding would also reject.
 			return fmt.Errorf("decoder: stream window [%d,%d): %w", st.lo, hi, err)

@@ -79,10 +79,10 @@ func TestUFRoutesKGe3AndCounts(t *testing.T) {
 	}
 	s := ufDec.NewScratch()
 
-	// k<=2 stays on the closed forms.
+	// k<=2 stays on the matcher.
 	for _, defects := range [][]int{{3}, {3, 4}} {
 		if _, path, err := ufDec.decodeMiss(defects, s); err != nil || (path != pathK1 && path != pathK2) {
-			t.Fatalf("defects %v took path %d (err %v); want closed form", defects, path, err)
+			t.Fatalf("defects %v took path %d (err %v); want the matcher", defects, path, err)
 		}
 	}
 	// k>=3 routes through union-find.
@@ -101,7 +101,7 @@ func TestUFRoutesKGe3AndCounts(t *testing.T) {
 	if obs != want {
 		t.Fatalf("uf predicted %b, blossom %b on isolated pairs", obs, want)
 	}
-	// Without the option the same decoder build uses blossom.
+	// Without the option the same decoder build uses the matcher.
 	if _, path, err := plain.decodeMiss([]int{3, 4, 20, 21, 30, 31}, plain.NewScratch()); err != nil || path != pathBlossom {
 		t.Fatalf("UnionFind=false took path %d (err %v); want blossom", path, err)
 	}
@@ -110,7 +110,7 @@ func TestUFRoutesKGe3AndCounts(t *testing.T) {
 func TestUFFallbackOnUndecodableCluster(t *testing.T) {
 	// Detectors {0,1,2,3} form a boundaryless component (pair mechanisms
 	// only); defects {0,1,2} have odd parity there, so union-find reports
-	// ErrStuck and the decode escalates to blossom, which reports the
+	// ErrStuck and the decode escalates to the matcher, which reports the
 	// canonical unmatchable error.
 	m := &dem.Model{NumDetectors: 4, NumObservables: 1}
 	m.Mechanisms = []dem.Mechanism{
@@ -288,6 +288,7 @@ func FuzzUFvsBlossom(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		g := newGalil(ref)
 
 		// Exact regime: adjacent defect pairs separated by gaps wide enough
 		// that every cluster grows in isolation and its internal edge is
@@ -306,7 +307,8 @@ func FuzzUFvsBlossom(f *testing.F) {
 				defects = append(defects, base, base+1)
 			}
 			got, gotErr := ufDec.Decode(defects)
-			want, _, wantErr := ref.decodeBlossom(defects, ref.NewScratch())
+			refPairs, _, wantErr := g.decode(defects)
+			want := pairsObs(refPairs)
 			if (gotErr != nil) != (wantErr != nil) {
 				t.Fatalf("isolated pairs %v: uf err=%v reference err=%v", defects, gotErr, wantErr)
 			}
@@ -326,7 +328,7 @@ func FuzzUFvsBlossom(f *testing.F) {
 				continue
 			}
 			_, _, gotErr := ufDec.decodeMiss(defects, s)
-			_, _, wantErr := ref.decodeBlossom(defects, ref.NewScratch())
+			_, _, wantErr := g.decode(defects)
 			if (gotErr != nil) != (wantErr != nil) {
 				t.Fatalf("defects %v: uf err=%v reference err=%v", defects, gotErr, wantErr)
 			}
@@ -334,16 +336,12 @@ func FuzzUFvsBlossom(f *testing.F) {
 				continue
 			}
 			if len(defects) >= 3 && s.ufs != nil {
-				if _, min, err := denseBlossom(ufDec, defects); err == nil {
-					// The two sides quantize differently — UF sums per-edge
-					// rounded weights, the matching rounds whole path sums —
-					// so each correction edge and each matched path can skew
-					// the comparison by up to half a quantum. Below that
-					// slack, a "cheaper than minimum" correction is a real
-					// invariant violation.
-					slack := int64(len(s.ufs.Correction())+len(defects))/2 + 1
-					if w := s.ufs.CorrectionWeight(); w < min-slack {
-						t.Fatalf("defects %v: uf correction weight %d below MWPM minimum %d (slack %d)", defects, w, min, slack)
+				// Both sides sum the same integer edge weights, so a
+				// correction lighter than the minimum is a real invariant
+				// violation.
+				if _, min, err := denseBlossom(g, defects); err == nil {
+					if w := s.ufs.CorrectionWeight(); w < min {
+						t.Fatalf("defects %v: uf correction weight %d below MWPM minimum %d", defects, w, min)
 					}
 				}
 			}

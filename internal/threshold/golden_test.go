@@ -53,14 +53,14 @@ var goldenPoints = map[string]string{
 	"square/d3/no-idle/w2":           "2cf980a03fc7cdb3b4f463135949fcc09fb3cf2a4ea8cdba7585a78338a9d58c",
 	"square/d3/X/w1":                 "e5590bf3538c587a7824e30bd5fbcff75b7a88c6d762936fc2be67f96197cf62",
 	"square/d3/X/w2":                 "e5590bf3538c587a7824e30bd5fbcff75b7a88c6d762936fc2be67f96197cf62",
-	"octagon/d3/median-2/w1":         "592d4427a1a025f19689c1f766d8300a31a810977987ef2ab3990a299e817452",
-	"octagon/d3/median-2/w2":         "592d4427a1a025f19689c1f766d8300a31a810977987ef2ab3990a299e817452",
-	"square/d3/target-rse/w1":        "d09299e8da72883ea07c27ee272057b94aab5216ce1c38ef4bd7e9b138850e8f",
-	"square/d3/target-rse/w2":        "d09299e8da72883ea07c27ee272057b94aab5216ce1c38ef4bd7e9b138850e8f",
-	"square/d3/max-errors/w1":        "d4fc1b780f0cc372e5e53f4c69ad8691679a00b232d09cee0d7410b8257d1145",
-	"square/d3/max-errors/w2":        "d4fc1b780f0cc372e5e53f4c69ad8691679a00b232d09cee0d7410b8257d1145",
-	"heavy-hexagon/d5/r15/p0.002/w1": "e8656c4c95bf838a85dffe7507a07364f7abf47e03f5998949ec9dc8f8f29b7d",
-	"heavy-hexagon/d5/r15/p0.002/w2": "e8656c4c95bf838a85dffe7507a07364f7abf47e03f5998949ec9dc8f8f29b7d",
+	"octagon/d3/median-2/w1":         "18ec8f0a370b079022ffc17bbb69e75da9ef23d3fa0dec802bcaac3dd64db4f0",
+	"octagon/d3/median-2/w2":         "18ec8f0a370b079022ffc17bbb69e75da9ef23d3fa0dec802bcaac3dd64db4f0",
+	"square/d3/target-rse/w1":        "287e71a4171185afe91725aabb2c332e7890dcba41fbd5dd27518c48b1cdcf3f",
+	"square/d3/target-rse/w2":        "287e71a4171185afe91725aabb2c332e7890dcba41fbd5dd27518c48b1cdcf3f",
+	"square/d3/max-errors/w1":        "d75f057e8cc4fcb57917a8eafda7a87b04987126384e14e8ab9141398a109887",
+	"square/d3/max-errors/w2":        "d75f057e8cc4fcb57917a8eafda7a87b04987126384e14e8ab9141398a109887",
+	"heavy-hexagon/d5/r15/p0.002/w1": "567b64bb110c502162580c39109b4b93fff86b2f68d4a3ed84c514c55b276ec7",
+	"heavy-hexagon/d5/r15/p0.002/w2": "567b64bb110c502162580c39109b4b93fff86b2f68d4a3ed84c514c55b276ec7",
 }
 
 // goldenInput synthesizes a distance-d memory of the given basis over the
@@ -166,22 +166,17 @@ func TestPointGoldens(t *testing.T) {
 			}
 			snap := cfg.Registry.Snapshot()
 			var series []string
-			// An adaptive stop discards chunks that workers finished past
-			// the stopping point, but their decoder stats already reached
-			// the registry, so only the point itself is pinned there.
-			if cfg.TargetRSE == 0 && cfg.MaxErrors == 0 {
-				for name := range snap {
-					if strings.HasPrefix(name, "decoder_syndrome_weight") {
-						series = append(series, name)
-					}
+			for name := range snap {
+				if strings.HasPrefix(name, "decoder_syndrome_weight") {
+					series = append(series, name)
 				}
-				series = append(series, "decoder_window_commits_total")
-				// Whole-shot union-find counts syndrome-cache misses, and
-				// two workers can miss on the same syndrome at once; the
-				// stream has no cache, so it pins them at any worker count.
-				if !cfg.Decoder.UnionFind || cfg.Stream != nil || workers == 1 {
-					series = append(series, "decoder_uf_total", "decoder_uf_fallback_total")
-				}
+			}
+			series = append(series, "decoder_window_commits_total")
+			// Whole-shot union-find counts syndrome-cache misses, and two
+			// workers can miss on the same syndrome at once; the stream has
+			// no cache, so it pins them at any worker count.
+			if !cfg.Decoder.UnionFind || cfg.Stream != nil || workers == 1 {
+				series = append(series, "decoder_uf_total", "decoder_uf_fallback_total")
 			}
 			digest := pointDigest(got, snap, series)
 			want, ok := goldenPoints[name]

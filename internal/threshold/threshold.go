@@ -192,12 +192,23 @@ func EstimatePointContext(ctx context.Context, in Input, p float64, cfg Config) 
 		mCommits     = cfg.Registry.Counter("decoder_window_commits_total")
 		mKHist       = cfg.Registry.Histogram("decoder_syndrome_weight", obs.LinearBuckets(0, 1, decoder.KHistBuckets-1))
 	)
-	// promote pushes one chunk's decoder stats into the registry — the
-	// once-per-chunk boundary where plain per-worker ints become atomics —
-	// and folds the union-find/streaming counters into the tally's Aux
-	// slots for deterministic in-order totals.
-	promote := func(st decoder.Stats) mc.Tally {
-		if cfg.Registry != nil {
+	// A chunk's decoder stats reach the registry only once mc merges the
+	// chunk: the chunk function parks them by chunk index, and the Progress
+	// hook, which mc calls after each in-order merge, promotes them. Chunks
+	// an adaptive stop discards are never promoted, so the decoder series
+	// count exactly the point's shots at any worker count.
+	var (
+		parkedMu sync.Mutex
+		parked   map[int]decoder.Stats
+	)
+	if cfg.Registry != nil {
+		parked = map[int]decoder.Stats{}
+		userProgress := mcCfg.Progress
+		mcCfg.Progress = func(pr mc.Progress) {
+			parkedMu.Lock()
+			st := parked[pr.Chunks-1]
+			delete(parked, pr.Chunks-1)
+			parkedMu.Unlock()
 			mCacheHits.Add(int64(st.CacheHits))
 			mCacheMisses.Add(int64(st.CacheMisses))
 			mFastK1.Add(int64(st.FastK1))
@@ -211,6 +222,19 @@ func EstimatePointContext(ctx context.Context, in Input, p float64, cfg Config) 
 					mKHist.ObserveN(float64(k), int64(n))
 				}
 			}
+			if userProgress != nil {
+				userProgress(pr)
+			}
+		}
+	}
+	// promote parks one chunk's decoder stats for the merge hook above and
+	// folds the union-find/streaming counters into the tally's Aux slots
+	// for deterministic in-order totals.
+	promote := func(chunk int, st decoder.Stats) mc.Tally {
+		if parked != nil {
+			parkedMu.Lock()
+			parked[chunk] = st
+			parkedMu.Unlock()
 		}
 		return mc.Tally{
 			Shots:  st.Shots,
@@ -230,15 +254,15 @@ func EstimatePointContext(ctx context.Context, in Input, p float64, cfg Config) 
 	} else {
 		// Worker states are pooled across chunks so each worker goroutine
 		// samples into the same planes and reuses its decode buffers
-		// (defect lists, matching edges, blossom state) for the whole point
+		// (defect lists, cache keys, matcher state) for the whole point
 		// instead of reallocating per chunk.
 		workers := sync.Pool{New: func() any { return &chunkWorker{s: dec.NewScratch()} }}
-		res, err = mc.Run(ctx, mcCfg, func(_ int, rng *rand.Rand, shots int) (mc.Tally, error) {
+		res, err = mc.Run(ctx, mcCfg, func(chunk int, rng *rand.Rand, shots int) (mc.Tally, error) {
 			w := workers.Get().(*chunkWorker)
 			defer workers.Put(w)
 			sampler.SampleInto(&w.batch, rng, shots)
 			st, err := dec.DecodeRangeScratch(&w.batch, 0, shots, w.s)
-			return promote(st), err
+			return promote(chunk, st), err
 		})
 	}
 	if err != nil {
@@ -281,7 +305,7 @@ type streamWorker struct {
 // against the shot's actual observable flips. Defects are extracted a word
 // at a time, and each shot's ascending list is sliced at the stream's round
 // boundaries.
-func runStreaming(ctx context.Context, detRound []int, dec *decoder.Decoder, sampler *frame.ChunkedSampler, mcCfg mc.Config, scfg decoder.StreamConfig, promote func(decoder.Stats) mc.Tally) (mc.Result, error) {
+func runStreaming(ctx context.Context, detRound []int, dec *decoder.Decoder, sampler *frame.ChunkedSampler, mcCfg mc.Config, scfg decoder.StreamConfig, promote func(int, decoder.Stats) mc.Tally) (mc.Result, error) {
 	if len(detRound) == 0 {
 		return mc.Result{}, fmt.Errorf("streaming decode needs the detector round map; set Input.DetectorRounds")
 	}
@@ -297,7 +321,7 @@ func runStreaming(ctx context.Context, detRound []int, dec *decoder.Decoder, sam
 		}
 		return &streamWorker{st: st}
 	}}
-	return mc.Run(ctx, mcCfg, func(_ int, rng *rand.Rand, shots int) (mc.Tally, error) {
+	return mc.Run(ctx, mcCfg, func(chunk int, rng *rand.Rand, shots int) (mc.Tally, error) {
 		w := streams.Get().(*streamWorker)
 		if w == nil {
 			return mc.Tally{}, fmt.Errorf("stream construction failed for validated geometry")
@@ -340,7 +364,7 @@ func runStreaming(ctx context.Context, detRound []int, dec *decoder.Decoder, sam
 		st.UFShots = ss.UFShots
 		st.UFFallbacks = ss.UFFallbacks
 		st.WindowCommits = ss.WindowCommits
-		return promote(st), nil
+		return promote(chunk, st), nil
 	})
 }
 

@@ -308,8 +308,8 @@ func (r *Report) checkCircuit(c *circuit.Circuit, g circ.Coupler, idle []int, ga
 	r.DistanceUndecomposable = cert.Undecomposable
 
 	// The sweep decodes contiguous shards of the mechanisms concurrently,
-	// one scratch per worker; the decoder publishes its rows atomically and
-	// its cache never changes an answer. The tally runs afterwards in
+	// one scratch per worker; the decoder's graph is immutable, its matcher
+	// state lives in the scratch and its cache never changes an answer. The tally runs afterwards in
 	// mechanism order, so the probability sum is the same on any number of
 	// workers.
 	mechs := model.Mechanisms

@@ -10,7 +10,7 @@
 // to evaluate the synthesized codes: the five architecture families of the
 // paper, a stabilizer (tableau) simulator, a bit-parallel Pauli-frame
 // sampler, detector error model extraction, and a minimum-weight
-// perfect-matching decoder built on a blossom-algorithm matcher.
+// perfect-matching decoder built on a sparse-blossom matcher.
 //
 // Every long-running entry point is context-first and fails with a typed
 // sentinel (ErrInvalidConfig, ErrNoPlacement, ErrDisconnected,
@@ -305,7 +305,7 @@ type RunConfig struct {
 	// disables).
 	MaxErrors int
 	// UnionFind decodes with the almost-linear union-find decoder instead of
-	// blossom minimum-weight matching. Results stay deterministic for a fixed
+	// sparse-blossom minimum-weight matching. Results stay deterministic for a fixed
 	// seed; accuracy trades slightly for speed on large graphs.
 	UnionFind bool
 	// Registry, when non-nil, receives live metrics from the run: the
