@@ -12,11 +12,11 @@ import (
 
 	"surfstitch/internal/circuit"
 	"surfstitch/internal/code"
+	"surfstitch/internal/dem"
 	"surfstitch/internal/device"
 	"surfstitch/internal/flagbridge"
 	"surfstitch/internal/graph"
 	"surfstitch/internal/synth"
-	"surfstitch/internal/tableau"
 )
 
 // IBMHeavySquare returns the manually designed heavy-square surface code.
@@ -213,7 +213,7 @@ func (hh *HeavyHexCode) MemoryCircuit(rounds int) (*circuit.Circuit, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, _, err := tableau.Reference(out, 3); err != nil {
+	if err := dem.CheckDeterminism(out); err != nil {
 		return nil, fmt.Errorf("baseline: heavy-hex memory not deterministic: %w", err)
 	}
 	return out, nil

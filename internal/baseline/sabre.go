@@ -8,9 +8,9 @@ import (
 
 	"surfstitch/internal/circuit"
 	"surfstitch/internal/code"
+	"surfstitch/internal/dem"
 	"surfstitch/internal/device"
 	"surfstitch/internal/synth"
-	"surfstitch/internal/tableau"
 )
 
 // SabreRouted models the revised-SABRE routing baseline of Figure 11(a):
@@ -169,7 +169,7 @@ func (sr *SabreRouted) MemoryCircuit(roundCount int) (*circuit.Circuit, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, _, err := tableau.Reference(c, 3); err != nil {
+	if err := dem.CheckDeterminism(c); err != nil {
 		return nil, fmt.Errorf("baseline: routed memory not deterministic: %w", err)
 	}
 	sr.rounds[roundCount] = c

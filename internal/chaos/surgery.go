@@ -42,7 +42,7 @@ func surgeryTyped(err error) bool {
 // RunSurgery executes one 2-patch scenario end to end — build tiling,
 // generate and apply defects, pack the layout, assemble the combined
 // circuit — and checks the robustness contract: every scenario either fails
-// with a typed error or produces a tableau-verified surgery circuit; it
+// with a typed error or produces a determinism-checked surgery circuit; it
 // never panics and never leaks an untyped failure. A placement that packs
 // but fails circuit assembly is a contract break: Pack's acceptance
 // criteria must imply an assemblable, deterministic experiment.

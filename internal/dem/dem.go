@@ -30,6 +30,13 @@
 //
 // The two rule sets must change together; a differential test against the
 // frame sampler on random circuits that use every gate keeps them in step.
+// A row is zero outside a window of detector words, which each XOR trims,
+// so a lane reads only the words its rows can hold.
+//
+// The same walk decides determinism (CheckDeterminism): a Z-basis reset or
+// measurement, and the |0…0⟩ start, randomize every output still in the Z
+// row of the qubit it acts on. The tableau simulator checks the same thing
+// by randomized runs and stays as the independent cross-check.
 package dem
 
 import (
@@ -68,253 +75,171 @@ func FromCircuit(c *circuit.Circuit) (*Model, error) {
 	if len(c.Observables) > 64 {
 		return nil, fmt.Errorf("dem: at most 64 observables supported, got %d", len(c.Observables))
 	}
-
-	// First pass: one lane per elementary Pauli mechanism, in circuit
-	// order, so lane l is injs[l] and moment mi's lanes end at ends[mi].
-	// A counting pass sizes injs.
 	lanes := 0
 	for _, m := range c.Moments {
 		for _, nz := range m.Noise {
-			switch nz.Op {
-			case circuit.OpXError, circuit.OpZError:
-				lanes += len(nz.Qubits)
-			case circuit.OpDepolarize1:
-				lanes += 3 * len(nz.Qubits)
-			case circuit.OpDepolarize2:
-				lanes += 15 * len(nz.Qubits) / 2
-			default:
+			n, _, ok := lanesOf(nz)
+			if !ok {
 				return nil, fmt.Errorf("dem: unsupported noise op %v", nz.Op)
 			}
+			lanes += n
 		}
 	}
-	injs := make([]injection, 0, lanes)
-	ends := make([]int, len(c.Moments))
-	for mi, m := range c.Moments {
-		for _, nz := range m.Noise {
-			switch nz.Op {
-			case circuit.OpXError:
-				for _, q := range nz.Qubits {
-					injs = append(injs, injection{p: nz.Arg, nx: 1, x: [2]int{q}})
-				}
-			case circuit.OpZError:
-				for _, q := range nz.Qubits {
-					injs = append(injs, injection{p: nz.Arg, nz: 1, z: [2]int{q}})
-				}
-			case circuit.OpDepolarize1:
-				for _, q := range nz.Qubits {
-					p := nz.Arg / 3
-					injs = append(injs,
-						injection{p: p, nx: 1, x: [2]int{q}},                      // X
-						injection{p: p, nz: 1, z: [2]int{q}},                      // Z
-						injection{p: p, nx: 1, x: [2]int{q}, nz: 1, z: [2]int{q}}, // Y
-					)
-				}
-			case circuit.OpDepolarize2:
-				for i := 0; i < len(nz.Qubits); i += 2 {
-					a, b := nz.Qubits[i], nz.Qubits[i+1]
-					p := nz.Arg / 15
-					for mask := 1; mask < 16; mask++ {
-						inj := injection{p: p}
-						inj.on(a, mask&1 != 0, mask&2 != 0)
-						inj.on(b, mask&4 != 0, mask&8 != 0)
-						injs = append(injs, inj)
-					}
-				}
-			}
-		}
-		ends[mi] = len(injs)
-	}
-
 	model := &Model{NumDetectors: len(c.Detectors), NumObservables: len(c.Observables)}
 	if lanes == 0 {
 		return model, nil
 	}
 
-	// Record index: out(r), the outputs that list record r, is the
-	// detectors recDets[recAt[r]:recAt[r+1]] and the observable mask
-	// recObs[r]. A record a set lists twice is XORed in twice, so it
-	// cancels as it does in the frame sampler's detector planes.
-	records := c.NumMeasurements()
-	recAt := make([]int, records+1)
-	for _, set := range c.Detectors {
-		for _, r := range set {
-			recAt[r+1]++
-		}
-	}
-	for r := 0; r < records; r++ {
-		recAt[r+1] += recAt[r]
-	}
-	recDets := make([]int, recAt[records])
-	next := append([]int(nil), recAt[:records]...)
-	for d, set := range c.Detectors {
-		for _, r := range set {
-			recDets[next[r]] = d
-			next[r]++
-		}
-	}
-	recObs := make([]uint64, records)
-	for o, set := range c.Observables {
-		for _, r := range set {
-			recObs[r] ^= 1 << uint(o)
-		}
-	}
-
-	// Sensitivity rows, an X and a Z row per qubit: words-1 words of
-	// detector bits, then one word of observable bits.
-	words := (model.NumDetectors+63)/64 + 1
-	obsWord := words - 1
-	state := make([]uint64, 2*c.NumQubits*words)
-	sx := make([][]uint64, c.NumQubits)
-	sz := make([][]uint64, c.NumQubits)
-	for q := range sx {
-		lo := 2 * q * words
-		sx[q] = state[lo : lo+words : lo+words]
-		sz[q] = state[lo+words : lo+2*words : lo+2*words]
-	}
-
-	// Second pass: walk the moments backward. Lanes are visited in
-	// reverse, so lane l's detectors land at dets[bound[l+1]:bound[l]].
-	// dets holds two detectors a lane, the most a graphlike model flips,
-	// before it must grow.
-	dets := make([]int, 0, 2*lanes)
-	bound := make([]int, lanes+1)
-	obs := make([]uint64, lanes)
-	zero := make([]uint64, words)
-	rec := records
+	// Walk the moments backward. Lane l is the l-th elementary Pauli in
+	// circuit order. A moment's lanes read the rows before its gates are
+	// undone, and each is grouped by signature at once.
+	w := newWalker(c, c.Detectors, c.Observables)
+	g := grouper{index: map[string]int32{}, group: make([]int32, lanes), detAt: []int{0}}
+	end := lanes
 	for mi := len(c.Moments) - 1; mi >= 0; mi-- {
-		first := 0
-		if mi > 0 {
-			first = ends[mi-1]
+		noise := c.Moments[mi].Noise
+		l := end
+		for _, nz := range noise {
+			n, _, _ := lanesOf(nz)
+			l -= n
 		}
-		for l := ends[mi] - 1; l >= first; l-- {
-			// The signature XORs at most four component rows; absent
-			// components read the zero row.
-			inj := &injs[l]
-			rows := [4][]uint64{zero, zero, zero, zero}
-			n := 0
-			for _, q := range inj.x[:inj.nx] {
-				rows[n] = sx[q]
-				n++
-			}
-			for _, q := range inj.z[:inj.nz] {
-				rows[n] = sz[q]
-				n++
-			}
-			r0, r1, r2, r3 := rows[0][:words], rows[1][:words], rows[2][:words], rows[3][:words]
-			for w := 0; w < obsWord; w++ {
-				for word := r0[w] ^ r1[w] ^ r2[w] ^ r3[w]; word != 0; word &= word - 1 {
-					dets = append(dets, w*64+bits.TrailingZeros64(word))
+		end = l
+		for _, nz := range noise {
+			n, p, _ := lanesOf(nz)
+			if p == 0 {
+				for i := l; i < l+n; i++ {
+					g.group[i] = -1
 				}
+				l += n
+				continue
 			}
-			obs[l] = r0[obsWord] ^ r1[obsWord] ^ r2[obsWord] ^ r3[obsWord]
-			bound[l] = len(dets)
-		}
-		// The moment's gates act on disjoint qubits, so they are undone in
-		// any order; reverse order numbers the measurement records.
-		gates := c.Moments[mi].Gates
-		for gi := len(gates) - 1; gi >= 0; gi-- {
-			g := gates[gi]
-			switch g.Op {
-			case circuit.OpR:
-				for _, q := range g.Qubits {
-					clear(sx[q])
-					clear(sz[q])
+			switch nz.Op {
+			case circuit.OpXError:
+				for _, q := range nz.Qubits {
+					g.add(l, &w.rows[2*q], &w.zero, &w.zero, &w.zero)
+					l++
 				}
-			case circuit.OpM:
-				for i := len(g.Qubits) - 1; i >= 0; i-- {
-					q := g.Qubits[i]
-					rec--
-					for _, d := range recDets[recAt[rec]:recAt[rec+1]] {
-						sx[q][d/64] ^= 1 << uint(d%64)
+			case circuit.OpZError:
+				for _, q := range nz.Qubits {
+					g.add(l, &w.rows[2*q+1], &w.zero, &w.zero, &w.zero)
+					l++
+				}
+			case circuit.OpDepolarize1:
+				for _, q := range nz.Qubits {
+					x, z := &w.rows[2*q], &w.rows[2*q+1]
+					g.add(l, x, &w.zero, &w.zero, &w.zero)   // X
+					g.add(l+1, z, &w.zero, &w.zero, &w.zero) // Z
+					g.add(l+2, x, z, &w.zero, &w.zero)       // Y
+					l += 3
+				}
+			case circuit.OpDepolarize2:
+				for i := 0; i < len(nz.Qubits); i += 2 {
+					a, b := nz.Qubits[i], nz.Qubits[i+1]
+					// Mask bits 0 and 1 put X and Z on a, bits 2 and 3 on b.
+					on := [4]*row{&w.rows[2*a], &w.rows[2*a+1], &w.rows[2*b], &w.rows[2*b+1]}
+					for mask := 1; mask < 16; mask++ {
+						r := [4]*row{&w.zero, &w.zero, &w.zero, &w.zero}
+						for k := range on {
+							if mask&(1<<k) != 0 {
+								r[k] = on[k]
+							}
+						}
+						g.add(l, r[0], r[1], r[2], r[3])
+						l++
 					}
-					sx[q][obsWord] ^= recObs[rec]
-					clear(sz[q])
 				}
-			case circuit.OpH:
-				for _, q := range g.Qubits {
-					sx[q], sz[q] = sz[q], sx[q]
-				}
-			case circuit.OpS:
-				for _, q := range g.Qubits {
-					xorInto(sx[q], sz[q])
-				}
-			case circuit.OpCX:
-				for i := 0; i < len(g.Qubits); i += 2 {
-					ctl, tgt := g.Qubits[i], g.Qubits[i+1]
-					xorInto(sx[ctl], sx[tgt])
-					xorInto(sz[tgt], sz[ctl])
-				}
-			case circuit.OpCZ:
-				for i := 0; i < len(g.Qubits); i += 2 {
-					a, b := g.Qubits[i], g.Qubits[i+1]
-					xorInto(sx[b], sz[a])
-					xorInto(sx[a], sz[b])
-				}
-			case circuit.OpX, circuit.OpY, circuit.OpZ:
-				// Paulis commute with the frame up to signs.
-			default:
-				return nil, fmt.Errorf("dem: unsupported gate op %v", g.Op)
 			}
+		}
+		if err := w.undo(c.Moments[mi].Gates); err != nil {
+			return nil, err
 		}
 	}
 
-	// Group by signature in forward lane order, XOR-combining
-	// probabilities: the merged mechanism fires when an odd number of its
-	// members fire. Lane order fixes the order of every float64 merge. The
-	// map key is the signature's fixed-width encoding — 4 bytes per
-	// detector, then the 8-byte observable mask — so distinct signatures
-	// never collide and a lookup does not allocate.
-	index := map[string]int{}
-	var key []byte
-	for l := 0; l < lanes; l++ {
-		ds := dets[bound[l+1]:bound[l]:bound[l]]
-		if len(ds) == 0 && obs[l] == 0 {
-			continue // harmless error
+	// XOR-combine each group's probabilities in forward lane order: the
+	// merged mechanism fires when an odd number of its members fire. Lane
+	// order fixes the order of every float64 merge, and merging the first
+	// member into 0 leaves its probability exact.
+	prob := make([]float64, len(g.obs))
+	l := 0
+	for _, m := range c.Moments {
+		for _, nz := range m.Noise {
+			n, q, _ := lanesOf(nz)
+			for _, i := range g.group[l : l+n] {
+				if i >= 0 {
+					p := prob[i]
+					prob[i] = p + q - 2*p*q
+				}
+			}
+			l += n
 		}
-		if injs[l].p == 0 {
-			continue
-		}
-		key = key[:0]
-		for _, d := range ds {
-			key = binary.LittleEndian.AppendUint32(key, uint32(d))
-		}
-		key = binary.LittleEndian.AppendUint64(key, obs[l])
-		if i, ok := index[string(key)]; ok {
-			p, q := model.Mechanisms[i].Prob, injs[l].p
-			model.Mechanisms[i].Prob = p + q - 2*p*q
-			continue
-		}
-		index[string(key)] = len(model.Mechanisms)
-		model.Mechanisms = append(model.Mechanisms, Mechanism{Detectors: ds, Obs: obs[l], Prob: injs[l].p})
+	}
+	model.Mechanisms = make([]Mechanism, len(g.obs))
+	for i := range model.Mechanisms {
+		model.Mechanisms[i] = Mechanism{Detectors: g.dets[g.detAt[i]:g.detAt[i+1]], Obs: g.obs[i], Prob: prob[i]}
 	}
 	model.Mechanisms = sortMechanisms(model.Mechanisms)
 	return model, nil
 }
 
-// injection is one lane's Pauli: X components on x[:nx] and Z components
-// on z[:nz], at most two qubits each.
-type injection struct {
-	p      float64
-	nx, nz int
-	x, z   [2]int
+// lanesOf returns how many lanes a noise instruction contributes, one per
+// elementary Pauli mechanism, and the probability of each; ok is false for
+// an op that is not a supported noise channel.
+func lanesOf(nz circuit.Instruction) (n int, p float64, ok bool) {
+	switch nz.Op {
+	case circuit.OpXError, circuit.OpZError:
+		return len(nz.Qubits), nz.Arg, true
+	case circuit.OpDepolarize1:
+		return 3 * len(nz.Qubits), nz.Arg / 3, true
+	case circuit.OpDepolarize2:
+		return 15 * len(nz.Qubits) / 2, nz.Arg / 15, true
+	}
+	return 0, 0, false
 }
 
-// on adds X and/or Z components on qubit q.
-func (inj *injection) on(q int, x, z bool) {
-	if x {
-		inj.x[inj.nx] = q
-		inj.nx++
-	}
-	if z {
-		inj.z[inj.nz] = q
-		inj.nz++
-	}
+// grouper groups lanes by signature. group[l] is lane l's group, or -1 when
+// the lane flips nothing or has probability 0. Group i's detectors are
+// dets[detAt[i]:detAt[i+1]], stored once, and its observables obs[i]. The
+// map key is the signature's fixed-width encoding — 4 bytes per detector,
+// then the 8-byte observable mask — so distinct signatures never collide
+// and a lookup does not allocate.
+type grouper struct {
+	index map[string]int32
+	key   []byte
+	group []int32
+	dets  []int
+	detAt []int
+	obs   []uint64
 }
 
-func xorInto(dst, src []uint64) {
-	for w := range dst {
-		dst[w] ^= src[w]
+// add groups lane l, whose signature XORs the rows r0..r3, reading them
+// only over the union of their windows.
+func (g *grouper) add(l int, r0, r1, r2, r3 *row) {
+	lo := min(r0.lo, r1.lo, r2.lo, r3.lo)
+	hi := max(r0.hi, r1.hi, r2.hi, r3.hi)
+	key := g.key[:0]
+	for w := lo; w < hi; w++ {
+		for word := r0.det[w] ^ r1.det[w] ^ r2.det[w] ^ r3.det[w]; word != 0; word &= word - 1 {
+			key = binary.LittleEndian.AppendUint32(key, uint32(w*64+bits.TrailingZeros64(word)))
+		}
 	}
+	obs := r0.obs ^ r1.obs ^ r2.obs ^ r3.obs
+	if len(key) == 0 && obs == 0 {
+		g.group[l] = -1 // harmless error
+		return
+	}
+	key = binary.LittleEndian.AppendUint64(key, obs)
+	g.key = key
+	i, ok := g.index[string(key)]
+	if !ok {
+		i = int32(len(g.obs))
+		g.index[string(key)] = i
+		for k := 0; k < len(key)-8; k += 4 {
+			g.dets = append(g.dets, int(binary.LittleEndian.Uint32(key[k:])))
+		}
+		g.detAt = append(g.detAt, len(g.dets))
+		g.obs = append(g.obs, obs)
+	}
+	g.group[l] = i
 }
 
 // sortMechanisms returns the mechanisms ordered by their

@@ -29,7 +29,7 @@ func TestDistance7EndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := NewMemory(s, d, Options{SkipVerify: d == 7}) // d=7 tableau check is slow; d=5 covers the construction
+		m, err := NewMemory(s, d, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -42,8 +42,8 @@ func (b Basis) String() string {
 // Options configures memory-experiment assembly.
 type Options struct {
 	Basis Basis
-	// SkipVerify skips the tableau determinism verification (useful in
-	// benchmarks where the construction is already trusted).
+	// SkipVerify skips the determinism check (dem.CheckDeterminism), for
+	// callers that already trust the construction or check it themselves.
 	SkipVerify bool
 }
 
@@ -62,9 +62,10 @@ type Memory struct {
 // NewMemory builds a memory experiment with the given number of rounds: the
 // synthesis becomes the one patch of a placement with no surgery ops and
 // `rounds` separate rounds, assembled by surgery.Assemble in the protected
-// basis. Unless disabled, the construction is verified with the tableau
-// simulator: every detector must be deterministic, which catches scheduling
-// or circuit generation bugs at assembly time.
+// basis. Unless disabled, the construction is checked by the exact backward
+// walk of dem.CheckDeterminism: every detector and the observable must be
+// deterministic, which catches scheduling or circuit generation bugs at
+// assembly time.
 func NewMemory(s *synth.Synthesis, rounds int, opts Options) (*Memory, error) {
 	if rounds < 1 {
 		return nil, fmt.Errorf("experiment: need at least one round, got %d", rounds)

@@ -24,7 +24,7 @@ func synthOn(t *testing.T, dev *device.Device, d int, mode synth.Mode) *synth.Sy
 }
 
 func TestMemoryAssemblesAndIsDeterministic(t *testing.T) {
-	// NewMemory runs the tableau determinism check internally; success on
+	// NewMemory runs the determinism check internally; success on
 	// every architecture is itself the assertion.
 	cases := []struct {
 		name string

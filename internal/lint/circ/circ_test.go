@@ -187,7 +187,7 @@ func TestAcceptsSynthesizedMemories(t *testing.T) {
 					t.Fatalf("synthesize: %v", err)
 				}
 				// SkipVerify: this test wants the static verdict alone,
-				// not the tableau determinism check.
+				// not the determinism check.
 				mem, err := experiment.NewMemory(s, 3*d, experiment.Options{SkipVerify: true})
 				if err != nil {
 					t.Fatalf("memory: %v", err)

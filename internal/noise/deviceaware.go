@@ -180,7 +180,8 @@ func (da *DeviceAware) Apply(c *circuit.Circuit) (*circuit.Circuit, error) {
 		Detectors:   cloneSets(c.Detectors),
 		Observables: cloneSets(c.Observables),
 	}
-	for _, mom := range c.Moments {
+	active := make([]int, c.NumQubits)
+	for mi, mom := range c.Moments {
 		if len(mom.Noise) > 0 {
 			return nil, fmt.Errorf("noise: input circuit already contains noise channels")
 		}
@@ -236,9 +237,9 @@ func (da *DeviceAware) Apply(c *circuit.Circuit) (*circuit.Circuit, error) {
 				}
 			}
 		}
-		active := mom.ActiveQubits()
+		stamp(active, mom, mi)
 		for _, q := range idleSet {
-			if !active[q] && da.Idle[q] > 0 {
+			if !stamped(active, q, mi) && da.Idle[q] > 0 {
 				noisy.Noise = append(noisy.Noise, circuit.Instruction{Op: circuit.OpDepolarize1, Qubits: []int{q}, Arg: da.Idle[q]})
 			}
 		}

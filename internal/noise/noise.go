@@ -52,7 +52,8 @@ func (m Model) Apply(c *circuit.Circuit) (*circuit.Circuit, error) {
 		Detectors:   cloneSets(c.Detectors),
 		Observables: cloneSets(c.Observables),
 	}
-	for _, mom := range c.Moments {
+	active := make([]int, c.NumQubits)
+	for mi, mom := range c.Moments {
 		if len(mom.Noise) > 0 {
 			return nil, fmt.Errorf("noise: input circuit already contains noise channels")
 		}
@@ -100,10 +101,10 @@ func (m Model) Apply(c *circuit.Circuit) (*circuit.Circuit, error) {
 			}
 		}
 		if m.IdleError > 0 {
-			active := mom.ActiveQubits()
+			stamp(active, mom, mi)
 			var idle []int
 			for _, q := range idleSet {
-				if !active[q] {
+				if !stamped(active, q, mi) {
 					idle = append(idle, q)
 				}
 			}
@@ -127,6 +128,24 @@ func (m Model) MustApply(c *circuit.Circuit) *circuit.Circuit {
 		panic(err)
 	}
 	return out
+}
+
+// stamp marks the qubits the gates of moment mi act on by setting
+// active[q] = mi+1, so one slice serves every moment of a circuit. Qubits
+// out of range are left for the output's Validate to reject.
+func stamp(active []int, mom circuit.Moment, mi int) {
+	for _, g := range mom.Gates {
+		for _, q := range g.Qubits {
+			if q >= 0 && q < len(active) {
+				active[q] = mi + 1
+			}
+		}
+	}
+}
+
+// stamped reports whether stamp marked qubit q in moment mi.
+func stamped(active []int, q, mi int) bool {
+	return q >= 0 && q < len(active) && active[q] == mi+1
 }
 
 // usedQubits returns the sorted set of qubits touched by any gate.

@@ -21,12 +21,12 @@ import (
 
 	"surfstitch/internal/circuit"
 	"surfstitch/internal/code"
+	"surfstitch/internal/dem"
 	"surfstitch/internal/device"
 	"surfstitch/internal/flagbridge"
 	"surfstitch/internal/graph"
 	"surfstitch/internal/pauli"
 	"surfstitch/internal/synth"
-	"surfstitch/internal/tableau"
 )
 
 // Supports lists the qubit supports of the Steane code's three X (and,
@@ -435,7 +435,7 @@ func (s *Synthesis) MemoryCircuit(rounds int) (*circuit.Circuit, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, _, err := tableau.Reference(c, 3); err != nil {
+	if err := dem.CheckDeterminism(c); err != nil {
 		return nil, fmt.Errorf("steane: memory not deterministic: %w", err)
 	}
 	return c, nil

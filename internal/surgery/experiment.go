@@ -5,15 +5,15 @@ import (
 
 	"surfstitch/internal/circuit"
 	"surfstitch/internal/code"
+	"surfstitch/internal/dem"
 	"surfstitch/internal/flagbridge"
 	"surfstitch/internal/noise"
 	"surfstitch/internal/synth"
-	"surfstitch/internal/tableau"
 )
 
 // Options configures surgery-experiment assembly.
 type Options struct {
-	// SkipVerify skips the tableau determinism verification.
+	// SkipVerify skips the determinism check (dem.CheckDeterminism).
 	SkipVerify bool
 }
 
@@ -57,9 +57,9 @@ func basisOf(p *Placement) []code.StabType {
 
 // NewExperiment assembles the surgery circuit for a packed placement, each
 // patch protecting the basis its op implies (basisOf). Unless disabled,
-// every detector and observable is verified deterministic with the tableau
-// simulator — in particular the joint-parity observables, which must read
-// +1 on the noiseless circuit.
+// every detector and observable is checked deterministic by the exact
+// backward walk of dem.CheckDeterminism — in particular the joint-parity
+// observables, which must read +1 on the noiseless circuit.
 func NewExperiment(p *Placement, opts Options) (*Experiment, error) {
 	return Assemble(p, basisOf(p), opts)
 }
@@ -70,7 +70,8 @@ func NewExperiment(p *Placement, opts Options) (*Experiment, error) {
 // |+>̄, X̄ and the X-type stabilizers. A one-patch placement with no ops is a
 // logical memory of Spec.TotalRounds() rounds. The patches of an XX op must
 // protect the X basis and those of a ZZ op the Z basis, or the joint parity
-// fails the determinism check.
+// fails the determinism check (dem.CheckDeterminism), unless
+// opts.SkipVerify is set.
 func Assemble(p *Placement, basis []code.StabType, opts Options) (*Experiment, error) {
 	spec := p.Spec
 	total := spec.TotalRounds()
@@ -331,7 +332,7 @@ func Assemble(p *Placement, basis []code.StabType, opts Options) (*Experiment, e
 	}
 	e.Circuit = c
 	if !opts.SkipVerify {
-		if _, _, err := tableau.Reference(c, 3); err != nil {
+		if err := dem.CheckDeterminism(c); err != nil {
 			return nil, fmt.Errorf("surgery: circuit failed determinism check: %w", err)
 		}
 	}

@@ -2,8 +2,8 @@
 // surface-code layouts: packing several logical patches onto one
 // connectivity-constrained device, synthesizing merge→joint-measure→split
 // schedules along declared seams, and emitting one combined circuit whose
-// detector error model flows through the existing tableau/DEM/decoder/
-// distance stack unchanged.
+// detector error model flows through the existing determinism-check/DEM/
+// decoder/distance stack unchanged.
 //
 // The geometry follows the repo's rotated-code conventions (X-type boundary
 // half-plaquettes on the top/bottom edges, Z-type on the left/right): a ZZ

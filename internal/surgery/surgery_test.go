@@ -302,8 +302,8 @@ func TestZipSchedules(t *testing.T) {
 
 // TestSurgeryMatrix is the acceptance matrix: 2-patch XX and ZZ merges on
 // heavy-square and square tilings at d=3 and d=5 must pack, assemble a
-// tableau-deterministic circuit (joint parity included), and keep each
-// patch's certified fault distance at its claim.
+// deterministic circuit (joint parity included), and keep each patch's
+// certified fault distance at its claim.
 func TestSurgeryMatrix(t *testing.T) {
 	for _, tiling := range []string{"heavy-square", "square"} {
 		for _, j := range []Joint{JointZZ, JointXX} {
@@ -317,7 +317,7 @@ func TestSurgeryMatrix(t *testing.T) {
 					if err != nil {
 						t.Fatalf("pack on %s: %v", dev.Name(), err)
 					}
-					e, err := NewExperiment(p, Options{}) // tableau-verified
+					e, err := NewExperiment(p, Options{}) // determinism-checked
 					if err != nil {
 						t.Fatalf("experiment: %v", err)
 					}

@@ -46,9 +46,10 @@ func (pr PatchReport) Pass() bool {
 // Layout verifies a packed multi-patch placement end to end: per-patch
 // structural checks and certified distances (placement-with-neighbors must
 // not cost any patch its claim), then the combined surgery circuit through
-// the same gauntlet as a single-patch synthesis — static IR check, tableau
-// determinism (joint parities included), decoder build, static distance
-// certification of the merged detector graph, and the single-fault sweep.
+// the same gauntlet as a single-patch synthesis — static IR check, exact
+// and tableau determinism (joint parities included), decoder build, static
+// distance certification of the merged detector graph, and the
+// single-fault sweep.
 func Layout(p *surgery.Placement, opts Options) Report {
 	var r Report
 	if opts.GateError == 0 {

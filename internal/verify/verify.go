@@ -3,8 +3,9 @@
 //
 //  1. structural invariants (trees are device-respecting, schedules
 //     conflict-free);
-//  2. detector determinism of the full memory circuit under exact
-//     stabilizer simulation;
+//  2. detector determinism of the full memory circuit, by the exact
+//     backward walk of internal/dem and, independently, by stabilizer
+//     simulation;
 //  3. the single-fault property: every elementary noise mechanism decodes
 //     without a logical error (up to tie degeneracies, which are reported);
 //  4. a hook-orientation audit: X-stabilizer bridge leaves must not couple
@@ -42,7 +43,9 @@ type Report struct {
 	// stabilizer-simulation stages.
 	Static []string
 	// Deterministic is true when every detector parity of the memory
-	// circuit is invariant under noiseless execution.
+	// circuit is invariant under noiseless execution: both the exact
+	// backward check and the tableau's randomized runs must agree.
+	// DeterminismError names the check that failed.
 	Deterministic    bool
 	DeterminismError string
 
@@ -256,7 +259,8 @@ func Synthesis(s *synth.Synthesis, opts Options) Report {
 //  1. the static circuit-IR check against the device couplings, which gates
 //     the expensive stages (a malformed circuit is rejected in linear time
 //     with a moment-level finding instead of a stabilizer-sim failure);
-//  2. detector determinism under exact stabilizer simulation;
+//  2. detector and observable determinism, by dem.CheckDeterminism and
+//     by the stabilizer tableau;
 //  3. the circuit-level error model at gateError and its decoder;
 //  4. static distance certification of the very model the decoder
 //     consumes, held against the claimed distance;
@@ -269,6 +273,13 @@ func (r *Report) checkCircuit(c *circuit.Circuit, g circ.Coupler, idle []int, ga
 		r.Static = append(r.Static, f.String())
 	}
 	if len(r.Static) > 0 {
+		return false
+	}
+	// Two independent determinism checks: the exact backward walk, then
+	// randomized runs of the stabilizer tableau. Either one failing fails
+	// the stage, and its error says which.
+	if err := dem.CheckDeterminism(c); err != nil {
+		r.DeterminismError = err.Error()
 		return false
 	}
 	if _, _, err := tableau.Reference(c, 3); err != nil {

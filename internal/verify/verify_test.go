@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"surfstitch/internal/circuit"
 	"surfstitch/internal/device"
 	"surfstitch/internal/grid"
 	"surfstitch/internal/synth"
@@ -204,5 +205,23 @@ func TestStructuralProblemsReported(t *testing.T) {
 	}
 	if !strings.Contains(rep.String(), "structural") {
 		t.Error("report missing structural section")
+	}
+}
+
+// TestDeterminismStageRunsExactCheckFirst checks that the determinism stage
+// runs dem.CheckDeterminism ahead of the tableau: a detector over a random
+// outcome fails the stage, and the finding names the exact check.
+func TestDeterminismStageRunsExactCheckFirst(t *testing.T) {
+	b := circuit.NewBuilder(1)
+	b.Begin().R(0)
+	b.Begin().H(0)
+	b.Begin()
+	b.Detector(b.M(0)...)
+	var r Report
+	if r.checkCircuit(b.MustBuild(), device.Square(2, 2).Graph(), []int{0}, 0.001, 1) {
+		t.Fatal("a circuit with a random detector passed the determinism stage")
+	}
+	if r.Deterministic || r.DeterminismError != "dem: detector 0 is not deterministic" {
+		t.Errorf("Deterministic %v, DeterminismError %q; want false and the exact check's finding", r.Deterministic, r.DeterminismError)
 	}
 }

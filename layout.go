@@ -78,10 +78,10 @@ func (ls *LayoutSynthesis) Patches() []*Synthesis { return ls.Placement.Patches 
 // Packing places every patch and every op's merged lattice under one shared
 // lattice basis (defect- and calibration-aware, same allocator as
 // Synthesize) with seam corridors reserved between neighbors, then
-// synthesizes bridge trees and schedules for each. Assembly verifies the
-// circuit against the stabilizer tableau: every detector and every
-// observable — joint parities included — must be deterministic under the
-// ideal circuit, or synthesis fails.
+// synthesizes bridge trees and schedules for each. Assembly checks the
+// circuit with the exact backward walk of dem.CheckDeterminism: every
+// detector and every observable — joint parities included — must be
+// deterministic under the ideal circuit, or synthesis fails.
 //
 // Errors: ErrBadLayout for malformed specs (including Options.Degrade on a
 // multi-patch layout — the degradation ladder is single-patch only),
@@ -109,9 +109,10 @@ func SynthesizeLayout(ctx context.Context, dev *Device, layout LayoutSpec, opts 
 // structural checks and certified fault distances (placement with neighbors
 // must not cost any patch its claim — see the report's Patches field), then
 // the combined circuit through the same gauntlet as Verify: static IR
-// checks, tableau determinism with joint parities, distance certification
-// of the merged detector graph, and the single-fault sweep. A nil layout
-// yields a failing report rather than a panic.
+// checks, determinism with joint parities (the exact check and the
+// tableau), distance certification of the merged detector graph, and the
+// single-fault sweep. A nil layout yields a failing report rather than a
+// panic.
 func VerifyLayout(ls *LayoutSynthesis) VerifyReport {
 	if ls == nil || ls.Placement == nil {
 		return VerifyReport{Structural: []string{"nil layout synthesis"}}
