@@ -110,17 +110,6 @@ type Moment struct {
 	Noise []Instruction
 }
 
-// ActiveQubits returns the set of qubits acted on by gates in the moment.
-func (m Moment) ActiveQubits() map[int]bool {
-	act := map[int]bool{}
-	for _, g := range m.Gates {
-		for _, q := range g.Qubits {
-			act[q] = true
-		}
-	}
-	return act
-}
-
 // Circuit is a moment-ordered Clifford circuit with detector and observable
 // annotations over the measurement record.
 type Circuit struct {

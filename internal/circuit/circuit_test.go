@@ -179,16 +179,6 @@ func TestInstructionTargets(t *testing.T) {
 	}
 }
 
-func TestActiveQubits(t *testing.T) {
-	b := NewBuilder(4)
-	b.Begin().H(0).CX(1, 2)
-	c := b.MustBuild()
-	act := c.Moments[0].ActiveQubits()
-	if !act[0] || !act[1] || !act[2] || act[3] {
-		t.Errorf("ActiveQubits = %v", act)
-	}
-}
-
 func TestEmptyGateCallIgnored(t *testing.T) {
 	b := NewBuilder(1)
 	b.Begin().H()

@@ -122,3 +122,23 @@ func TestFromCircuitAllocs(t *testing.T) {
 		t.Fatalf("FromCircuit allocates %.1f bytes per lane on a %d-lane circuit; want at most 40", perLane, lanes)
 	}
 }
+
+// TestReferenceAllocs gates the tableau's three randomized runs of
+// point-decode's noiseless circuit, the check verification runs beside
+// CheckDeterminism, at 200 allocations: a run allocates its tableau, RNG
+// and presized record once, and a collapse allocates nothing.
+func TestReferenceAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("synthesizes a d=5 memory")
+	}
+	c := pointDecodeMemory(t).Circuit
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, _, err := tableau.Reference(c, 3); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.0f allocations", allocs)
+	if allocs > 200 {
+		t.Fatalf("tableau.Reference(c, 3) allocates %.0f times on point-decode's circuit; want at most 200", allocs)
+	}
+}

@@ -49,9 +49,9 @@ func addUniformNoise(c *circuit.Circuit, p float64) *circuit.Circuit {
 	out := &circuit.Circuit{NumQubits: c.NumQubits, Detectors: c.Detectors, Observables: c.Observables}
 	for _, m := range c.Moments {
 		nm := circuit.Moment{Gates: m.Gates}
-		var qs []int
-		for q := range m.ActiveQubits() {
-			qs = append(qs, q)
+		var qs []int // a moment's gates act on disjoint qubits
+		for _, g := range m.Gates {
+			qs = append(qs, g.Qubits...)
 		}
 		if len(qs) > 0 {
 			nm.Noise = append(nm.Noise, circuit.Instruction{Op: circuit.OpDepolarize1, Qubits: qs, Arg: p})

@@ -43,7 +43,8 @@ func parities(sets [][]int, records []uint8) []uint8 {
 // intrinsically random outcomes; nil uses a fixed seed.
 func Run(c *circuit.Circuit, rng *rand.Rand) *Result {
 	sim := New(c.NumQubits, rng)
-	res := &Result{}
+	nm := c.NumMeasurements()
+	res := &Result{Records: make([]uint8, 0, nm), Random: make([]bool, 0, nm)}
 	for _, m := range c.Moments {
 		for _, g := range m.Gates {
 			applyGate(sim, g, res)
