@@ -87,7 +87,8 @@ func BenchmarkCheckDeterminism(b *testing.B) {
 }
 
 // TestFromCircuitAllocs gates extraction of point-decode's noisy circuit at
-// 40 bytes allocated per lane, one lane per elementary Pauli mechanism.
+// 40 bytes allocated per lane, one lane per elementary Pauli mechanism, and
+// at 200 allocations: grouping lanes allocates only as its tables grow.
 func TestFromCircuitAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("synthesizes a d=5 memory")
@@ -117,9 +118,13 @@ func TestFromCircuitAllocs(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	perLane := float64(after.TotalAlloc-before.TotalAlloc) / runs / float64(lanes)
-	t.Logf("%.1f bytes per lane over %d lanes", perLane, lanes)
+	allocs := float64(after.Mallocs-before.Mallocs) / runs
+	t.Logf("%.1f bytes per lane over %d lanes, %.0f allocations", perLane, lanes, allocs)
 	if perLane > 40 {
 		t.Fatalf("FromCircuit allocates %.1f bytes per lane on a %d-lane circuit; want at most 40", perLane, lanes)
+	}
+	if allocs > 200 {
+		t.Fatalf("FromCircuit allocates %.0f times on point-decode's circuit; want at most 200", allocs)
 	}
 }
 

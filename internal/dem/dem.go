@@ -41,9 +41,9 @@ package dem
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -94,7 +94,7 @@ func FromCircuit(c *circuit.Circuit) (*Model, error) {
 	// circuit order. A moment's lanes read the rows before its gates are
 	// undone, and each is grouped by signature at once.
 	w := newWalker(c, c.Detectors, c.Observables)
-	g := grouper{index: map[string]int32{}, group: make([]int32, lanes), detAt: []int{0}}
+	g := newGrouper(lanes)
 	end := lanes
 	for mi := len(c.Moments) - 1; mi >= 0; mi-- {
 		noise := c.Moments[mi].Noise
@@ -198,48 +198,98 @@ func lanesOf(nz circuit.Instruction) (n int, p float64, ok bool) {
 
 // grouper groups lanes by signature. group[l] is lane l's group, or -1 when
 // the lane flips nothing or has probability 0. Group i's detectors are
-// dets[detAt[i]:detAt[i+1]], stored once, and its observables obs[i]. The
-// map key is the signature's fixed-width encoding — 4 bytes per detector,
-// then the 8-byte observable mask — so distinct signatures never collide
-// and a lookup does not allocate.
+// dets[detAt[i]:detAt[i+1]], stored once, its observables obs[i] and its
+// signature's hash sum[i]. table is an open-addressed hash table of group
+// ids, sized to a power of two at least twice the number of groups: a slot
+// holds one plus a group id, or 0 when empty. A hash match is confirmed
+// against the group's stored signature, so distinct signatures never merge.
 type grouper struct {
-	index map[string]int32
-	key   []byte
+	table []int32
+	shift uint // 64 - log2(len(table))
+	buf   []int
 	group []int32
 	dets  []int
 	detAt []int
 	obs   []uint64
+	sum   []uint64
+}
+
+// newGrouper returns a grouper for lanes lanes with its table presized for
+// one group per 32 lanes, about the ratio of a memory experiment.
+func newGrouper(lanes int) grouper {
+	g := grouper{group: make([]int32, lanes), detAt: []int{0}}
+	g.resize(max(64, 1<<bits.Len(uint(lanes/16))))
+	return g
 }
 
 // add groups lane l, whose signature XORs the rows r0..r3, reading them
-// only over the union of their windows.
+// only over the union of their windows. The hash mixes each non-zero word
+// of the signature with its index, then the observable mask, so it does not
+// depend on the rows' windows.
 func (g *grouper) add(l int, r0, r1, r2, r3 *row) {
 	lo := min(r0.lo, r1.lo, r2.lo, r3.lo)
 	hi := max(r0.hi, r1.hi, r2.hi, r3.hi)
-	key := g.key[:0]
+	buf := g.buf[:0]
+	var h uint64
 	for w := lo; w < hi; w++ {
-		for word := r0.det[w] ^ r1.det[w] ^ r2.det[w] ^ r3.det[w]; word != 0; word &= word - 1 {
-			key = binary.LittleEndian.AppendUint32(key, uint32(w*64+bits.TrailingZeros64(word)))
+		word := r0.det[w] ^ r1.det[w] ^ r2.det[w] ^ r3.det[w]
+		if word == 0 {
+			continue
+		}
+		h = mix(h ^ uint64(w) ^ mix(word))
+		for ; word != 0; word &= word - 1 {
+			buf = append(buf, w*64+bits.TrailingZeros64(word))
 		}
 	}
+	g.buf = buf
 	obs := r0.obs ^ r1.obs ^ r2.obs ^ r3.obs
-	if len(key) == 0 && obs == 0 {
+	if len(buf) == 0 && obs == 0 {
 		g.group[l] = -1 // harmless error
 		return
 	}
-	key = binary.LittleEndian.AppendUint64(key, obs)
-	g.key = key
-	i, ok := g.index[string(key)]
-	if !ok {
-		i = int32(len(g.obs))
-		g.index[string(key)] = i
-		for k := 0; k < len(key)-8; k += 4 {
-			g.dets = append(g.dets, int(binary.LittleEndian.Uint32(key[k:])))
+	h = mix(h ^ obs)
+	mask := len(g.table) - 1
+	i := int(h >> g.shift)
+	for ; g.table[i] != 0; i = (i + 1) & mask {
+		id := g.table[i] - 1
+		if g.sum[id] == h && g.obs[id] == obs && slices.Equal(g.dets[g.detAt[id]:g.detAt[id+1]], buf) {
+			g.group[l] = id
+			return
 		}
-		g.detAt = append(g.detAt, len(g.dets))
-		g.obs = append(g.obs, obs)
 	}
-	g.group[l] = i
+	id := int32(len(g.obs))
+	g.table[i] = id + 1
+	g.dets = append(g.dets, buf...)
+	g.detAt = append(g.detAt, len(g.dets))
+	g.obs = append(g.obs, obs)
+	g.sum = append(g.sum, h)
+	g.group[l] = id
+	if 2*len(g.obs) > len(g.table) {
+		g.resize(2 * len(g.table))
+	}
+}
+
+// resize rehashes every group into a table of n slots, a power of two.
+func (g *grouper) resize(n int) {
+	g.table = make([]int32, n)
+	g.shift = uint(64 - bits.TrailingZeros(uint(n)))
+	mask := n - 1
+	for id, h := range g.sum {
+		i := int(h >> g.shift)
+		for g.table[i] != 0 {
+			i = (i + 1) & mask
+		}
+		g.table[i] = int32(id) + 1
+	}
+}
+
+// mix is the splitmix64 finalizer.
+func mix(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	return x ^ x>>31
 }
 
 // sortMechanisms returns the mechanisms ordered by their

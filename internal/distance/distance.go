@@ -12,12 +12,27 @@
 // element of the graph's cycle space. Labelling each edge with the
 // observable bits its mechanism flips turns "undetectable logical error"
 // into "cycle with odd observable parity", and the minimum-weight such
-// cycle is found exactly by a parity-aware shortest-path search: Dijkstra
-// over (node, frame-bit) states in the parity double cover, where
-// traversing an edge whose mechanism flips the observable crosses between
-// the even and odd layers. The shortest (v,0)→(v,1) closed walk, minimized
-// over endpoints of observable-flipping edges, is the certified distance;
-// its edge list is a concrete minimum-weight witness fault set.
+// cycle is found exactly by a breadth-first search over (node, frame-bit)
+// states in the parity double cover, where traversing an edge whose
+// mechanism flips the observable crosses between the even and odd layers.
+// The shortest (s,0)→(s,1) closed walk, minimized over endpoints s of
+// observable-flipping edges, is the certified distance; its edge list is a
+// concrete minimum-weight witness fault set.
+//
+// Each source's search meets in the middle. The cover's edges are
+// undirected and flipping every frame bit is an automorphism, so
+// dist((v,p⊕1),(s,1)) = dist((s,0),(v,p)), and the closed-walk length
+// D_s = dist((s,0),(s,1)) is the minimum over states (v,p) of
+// dist((s,0),(v,p)) + dist((s,0),(v,p⊕1)), reached at the midpoint of a
+// shortest walk with terms ⌊D_s/2⌋ and ⌈D_s/2⌉. One search from (s,0)
+// records that sum whenever it discovers a state whose partner it has
+// already reached, and stops once the next depth exceeds ⌊L/2⌋, where L is
+// the best length known: it finds every D_s < L, and every sum is the
+// length of a real walk, so the result is exact while the search explores
+// radius ⌊D/2⌋ rather than D-1. The winning source's witness comes from one
+// full search with parent pointers in the same first-in first-out order
+// over the same adjacency order (ascending edge index), so it is the walk a
+// plain search from that source finds.
 //
 // Mechanisms flipping three or more detectors (correlated depolarizing
 // components, flagged hook errors) are not edges; the certifier proves
@@ -38,7 +53,7 @@ package distance
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
 
 	"surfstitch/internal/dem"
 )
@@ -89,9 +104,11 @@ type Result struct {
 // Certified reports whether an undetectable logical error exists at all.
 func (r Result) Certified() bool { return r.Distance > 0 }
 
-// edge is one unit-weight mechanism edge of the detector graph.
+// edge is one unit-weight mechanism edge of the detector graph. next is
+// the index of the following edge on the same (u, v) pair, or -1.
 type edge struct {
-	u, v int // node ids; either may be the boundary, and u == v is allowed
+	u, v int32 // node ids, u <= v; either may be the boundary, and u == v is allowed
+	next int32
 	obs  uint64
 }
 
@@ -104,19 +121,27 @@ type Graph struct {
 	numDet int
 	numObs int
 	edges  []edge
-	adj    [][]int32 // node -> indices into edges
-	seen   map[edge]bool
+	// pairs is an open-addressed table over (u, v) pairs, sized to a power
+	// of two at least twice the number of edges: a slot holds one plus the
+	// index of the pair's first edge, or 0 when empty. The pair's other
+	// edges, one per distinct mask, follow through edge.next.
+	pairs []int32
+	shift uint // 64 - log2(len(pairs))
+	// rem holds the detectors of the hyperedge being decomposed.
+	rem []int
 }
 
 // NewGraph returns an empty detector graph. Nodes 0..numDetectors-1 are
 // detectors; node numDetectors is the boundary.
 func NewGraph(numDetectors, numObservables int) *Graph {
-	return &Graph{
-		numDet: numDetectors,
-		numObs: numObservables,
-		adj:    make([][]int32, numDetectors+1),
-		seen:   map[edge]bool{},
-	}
+	return newGraph(numDetectors, numObservables, 0)
+}
+
+// newGraph returns an empty graph with room for edges edges.
+func newGraph(numDetectors, numObservables, edges int) *Graph {
+	g := &Graph{numDet: numDetectors, numObs: numObservables, edges: make([]edge, 0, edges)}
+	g.resize(max(16, 1<<bits.Len(uint(2*edges))))
+	return g
 }
 
 // Boundary returns the virtual boundary node index.
@@ -140,37 +165,97 @@ func (g *Graph) AddEdge(u, v int, obs uint64) error {
 	if u == v && u != g.numDet {
 		return fmt.Errorf("distance: self-loop on detector %d (a mechanism cannot flip a detector twice)", u)
 	}
-	e := edge{u: u, v: v, obs: obs}
-	if g.seen[e] {
-		return nil
+	if 2*(len(g.edges)+1) > len(g.pairs) {
+		g.resize(2 * len(g.pairs))
 	}
-	g.seen[e] = true
 	idx := int32(len(g.edges))
-	g.edges = append(g.edges, e)
-	g.adj[e.u] = append(g.adj[e.u], idx)
-	if e.v != e.u {
-		g.adj[e.v] = append(g.adj[e.v], idx)
+	i := g.slot(int32(u), int32(v))
+	if g.pairs[i] == 0 {
+		g.pairs[i] = idx + 1
+	} else {
+		last := g.pairs[i] - 1
+		for g.edges[last].obs != obs && g.edges[last].next >= 0 {
+			last = g.edges[last].next
+		}
+		if g.edges[last].obs == obs {
+			return nil
+		}
+		g.edges[last].next = idx
 	}
+	g.edges = append(g.edges, edge{u: int32(u), v: int32(v), next: -1, obs: obs})
 	return nil
+}
+
+// slot returns the table slot of pair (u, v), u <= v: the one holding its
+// first edge, or the empty slot where that edge belongs.
+func (g *Graph) slot(u, v int32) int {
+	mask := len(g.pairs) - 1
+	i := int((uint64(uint32(u))<<32 | uint64(uint32(v))) * 0x9e3779b97f4a7c15 >> g.shift)
+	for {
+		first := g.pairs[i]
+		if first == 0 {
+			return i
+		}
+		if e := &g.edges[first-1]; e.u == u && e.v == v {
+			return i
+		}
+		i = (i + 1) & mask
+	}
+}
+
+// resize rehashes the pair table into n slots, a power of two.
+func (g *Graph) resize(n int) {
+	old := g.pairs
+	g.pairs = make([]int32, n)
+	g.shift = uint(64 - bits.TrailingZeros(uint(n)))
+	for _, first := range old {
+		if first != 0 {
+			e := &g.edges[first-1]
+			g.pairs[g.slot(e.u, e.v)] = first
+		}
+	}
+}
+
+// firstEdge returns the index of the first edge on pair (u, v), or -1.
+func (g *Graph) firstEdge(u, v int) int32 {
+	if u > v {
+		u, v = v, u
+	}
+	return g.pairs[g.slot(int32(u), int32(v))] - 1
 }
 
 // MinLogical computes the minimum-weight odd-parity cycle over every
 // observable bit: the certified distance, the bit achieving it, and the
 // witness edge set. dist == 0 reports that no undetectable logical error
 // exists.
+//
+// The first observable, then the first source in node order, whose closed
+// walk is strictly shorter than the best so far wins, and the bound carries
+// from one observable to the next.
 func (g *Graph) MinLogical() (dist int, obsBit int, witness []Fault) {
-	best, bestBit := 0, 0
-	var bestEdges []int32
+	c := g.compile()
+	best, bestBit, bestSrc := int32(0), 0, int32(0)
 	for o := 0; o < g.numObs; o++ {
-		d, edges := g.minOddCycle(o, best)
-		if d > 0 && (best == 0 || d < best) {
-			best, bestBit, bestEdges = d, o, edges
+		if !c.observe(g, o) {
+			continue
+		}
+		for s, src := range c.src {
+			if !src {
+				continue
+			}
+			if d := c.oddReturn(int32(s), best); d > 0 {
+				best, bestBit, bestSrc = d, o, int32(s)
+			}
 		}
 	}
-	for _, ei := range bestEdges {
+	if best == 0 {
+		return 0, 0, nil
+	}
+	c.observe(g, bestBit)
+	for _, ei := range c.walk(bestSrc) {
 		witness = append(witness, g.fault(ei))
 	}
-	return best, bestBit, witness
+	return int(best), bestBit, witness
 }
 
 // fault converts an edge back into witness form, dropping the boundary
@@ -178,111 +263,147 @@ func (g *Graph) MinLogical() (dist int, obsBit int, witness []Fault) {
 func (g *Graph) fault(ei int32) Fault {
 	e := g.edges[ei]
 	f := Fault{Obs: e.obs}
-	if e.u != g.numDet {
-		f.Detectors = append(f.Detectors, e.u)
+	if int(e.u) != g.numDet {
+		f.Detectors = append(f.Detectors, int(e.u))
 	}
-	if e.v != g.numDet && e.v != e.u {
-		f.Detectors = append(f.Detectors, e.v)
+	if int(e.v) != g.numDet && e.v != e.u {
+		f.Detectors = append(f.Detectors, int(e.v))
 	}
 	return f
 }
 
-// minOddCycle finds the minimum-weight cycle with odd parity of observable
-// bit o via the parity double cover. bound, when positive, prunes searches
-// that cannot beat an already-known distance. Returns 0 when no odd cycle
-// exists.
-func (g *Graph) minOddCycle(o int, bound int) (int, []int32) {
-	// Every odd cycle passes through an endpoint of an odd edge, so those
-	// endpoints are the only sources worth searching from. Sorted order
-	// keeps the witness deterministic.
-	mark := map[int]bool{}
-	for _, e := range g.edges {
-		if e.obs>>uint(o)&1 == 1 {
-			mark[e.u] = true
-			mark[e.v] = true
-		}
-	}
-	if len(mark) == 0 {
-		return 0, nil
-	}
-	sources := make([]int, 0, len(mark))
-	for v := range mark {
-		sources = append(sources, v)
-	}
-	sort.Ints(sources)
-
-	best := 0
-	if bound > 0 {
-		best = bound
-	}
-	var bestEdges []int32
-	for _, s := range sources {
-		d, edges := g.oddReturn(s, o, best)
-		if d > 0 && (best == 0 || d < best) {
-			best, bestEdges = d, edges
-		}
-	}
-	if bestEdges == nil {
-		return 0, nil
-	}
-	return best, bestEdges
+// csr is the graph compiled for search over the parity double cover, where
+// state v<<1|p is node v with frame bit p. Node v's entries are
+// off[v]..off[v+1], in ascending edge index, one per incident edge and one
+// for a self-loop; entry k leads to node to[k] over edge via[k]. For the
+// observable being searched, nb[k] is to[k]<<1 | the edge's bit, so state
+// st steps to nb[k] ^ st&1, and src[v] reports whether v is an endpoint of
+// an odd edge.
+//
+// One search scratch serves every source and observable: a state is
+// reached in the current search when seen[st] == epoch, at depth dist[st].
+type csr struct {
+	off, to, via, nb []int32
+	src              []bool
+	seen, dist       []int32
+	queue            []int32
+	epoch            int32
 }
 
-// oddReturn runs the parity-aware shortest-path search from (s, even) to
-// (s, odd): Dijkstra over (node, frame-bit) states with unit edge weights.
-// bound, when positive, abandons paths that cannot beat it. Returns the
-// path's edge list; 0 when unreachable within the bound.
-func (g *Graph) oddReturn(s, o, bound int) (int, []int32) {
-	n := (g.numDet + 1) * 2
-	const unseen = int32(-1)
-	dist := make([]int32, n)
-	parentEdge := make([]int32, n)
-	parentState := make([]int32, n)
-	for i := range dist {
-		dist[i] = unseen
+// compile lays the graph out as a csr with an empty search scratch.
+func (g *Graph) compile() *csr {
+	n := g.numDet + 1
+	c := &csr{off: make([]int32, n+1), src: make([]bool, n)}
+	for _, e := range g.edges {
+		c.off[e.u+1]++
+		if e.v != e.u {
+			c.off[e.v+1]++
+		}
 	}
-	start, target := int32(s*2), int32(s*2+1)
-	dist[start] = 0
-	// Unit weights make Dijkstra's priority queue a FIFO frontier: states
-	// are settled in nondecreasing distance order, so a plain queue is the
-	// exact same search without the heap overhead.
-	queue := []int32{start}
-	for head := 0; head < len(queue); head++ {
-		st := queue[head]
-		if st == target {
+	for v := 0; v < n; v++ {
+		c.off[v+1] += c.off[v]
+	}
+	m := c.off[n]
+	c.to, c.via, c.nb = make([]int32, m), make([]int32, m), make([]int32, m)
+	next := append([]int32(nil), c.off[:n]...)
+	for ei, e := range g.edges {
+		c.to[next[e.u]], c.via[next[e.u]] = e.v, int32(ei)
+		next[e.u]++
+		if e.v != e.u {
+			c.to[next[e.v]], c.via[next[e.v]] = e.u, int32(ei)
+			next[e.v]++
+		}
+	}
+	c.seen, c.dist = make([]int32, 2*n), make([]int32, 2*n)
+	c.queue = make([]int32, 0, 2*n)
+	return c
+}
+
+// observe points the csr at observable o: it fills nb, marks the endpoints
+// of o's odd edges in src, and reports whether there are any.
+func (c *csr) observe(g *Graph, o int) bool {
+	for k, ei := range c.via {
+		c.nb[k] = c.to[k]<<1 | int32(g.edges[ei].obs>>uint(o)&1)
+	}
+	clear(c.src)
+	odd := false
+	for _, e := range g.edges {
+		if e.obs>>uint(o)&1 == 1 {
+			c.src[e.u], c.src[e.v] = true, true
+			odd = true
+		}
+	}
+	return odd
+}
+
+// oddReturn returns the length D of the shortest walk from (s,0) to (s,1)
+// when D < limit, or any D when limit is 0; otherwise it returns 0. It
+// meets in the middle, as the package doc describes: a state discovered at
+// depth d whose partner was reached at depth d' closes a walk of length
+// d+d', and the search stops once the next depth exceeds half the best
+// length known.
+func (c *csr) oddReturn(s, limit int32) int32 {
+	c.epoch++
+	epoch, off, nb, seen, dist := c.epoch, c.off, c.nb, c.seen, c.dist
+	start := s << 1
+	seen[start], dist[start] = epoch, 0
+	q := append(c.queue[:0], start)
+	best, found := limit, false
+	for head := 0; head < len(q); head++ {
+		st := q[head]
+		d := dist[st] + 1
+		if best > 0 && d > best/2 {
 			break
 		}
-		d := dist[st]
-		if bound > 0 && int(d)+1 >= bound && target != st {
-			// Even one more edge cannot beat the incumbent certificate.
-			continue
-		}
-		node, parity := int(st)/2, st&1
-		for _, ei := range g.adj[node] {
-			e := g.edges[ei]
-			to := e.u + e.v - node // the other endpoint (same node for loops)
-			np := parity
-			if e.obs>>uint(o)&1 == 1 {
-				np ^= 1
-			}
-			ns := int32(to*2) + np
-			if dist[ns] != unseen {
+		p, v := st&1, st>>1
+		for _, to := range nb[off[v]:off[v+1]] {
+			ns := to ^ p
+			if seen[ns] == epoch {
 				continue
 			}
-			dist[ns] = d + 1
-			parentEdge[ns] = ei
-			parentState[ns] = st
-			queue = append(queue, ns)
+			seen[ns], dist[ns] = epoch, d
+			q = append(q, ns)
+			if seen[ns^1] == epoch {
+				if w := d + dist[ns^1]; best == 0 || w < best {
+					best, found = w, true
+				}
+			}
 		}
 	}
-	if dist[target] == unseen {
-		return 0, nil
+	if !found {
+		return 0
 	}
-	var edges []int32
-	for st := target; st != start; st = parentState[st] {
-		edges = append(edges, parentEdge[st])
+	return best
+}
+
+// walk runs the full first-in first-out search from (s,0) with parent
+// pointers until it reaches (s,1), which must be reachable, and returns the
+// walk's edges from (s,1) back to (s,0).
+func (c *csr) walk(s int32) []int32 {
+	c.epoch++
+	epoch, off, nb, seen := c.epoch, c.off, c.nb, c.seen
+	from := c.dist // the parent state of each reached state
+	entry := make([]int32, len(seen))
+	start, target := s<<1, s<<1|1
+	seen[start] = epoch
+	q := append(c.queue[:0], start)
+	for head := 0; seen[target] != epoch; head++ {
+		st := q[head]
+		p, v := st&1, st>>1
+		for k := off[v]; k < off[v+1]; k++ {
+			ns := nb[k] ^ p
+			if seen[ns] == epoch {
+				continue
+			}
+			seen[ns], from[ns], entry[ns] = epoch, st, k
+			q = append(q, ns)
+		}
 	}
-	return int(dist[target]), edges
+	var path []int32
+	for st := target; st != start; st = from[st] {
+		path = append(path, c.via[entry[st]])
+	}
+	return path
 }
 
 // Certify builds the detector graph of the model — proving non-graphlike
@@ -304,26 +425,11 @@ func FromDEM(m *dem.Model) (*Graph, Result, error) {
 	if m.NumObservables > 64 {
 		return nil, Result{}, fmt.Errorf("distance: at most 64 observables supported, got %d", m.NumObservables)
 	}
-	g := NewGraph(m.NumDetectors, m.NumObservables)
+	g := newGraph(m.NumDetectors, m.NumObservables, len(m.Mechanisms))
 	res := Result{Graphlike: true}
 
-	// First pass: graphlike mechanisms become edges directly, and the
-	// decomposition pass needs every mask each elementary pair occurs with.
+	// First pass: graphlike mechanisms become edges directly.
 	b := g.Boundary()
-	masks := map[pair][]uint64{}
-	addMech := func(u, v int, obs uint64) error {
-		if err := g.AddEdge(u, v, obs); err != nil {
-			return err
-		}
-		k := mkPair(u, v)
-		for _, m := range masks[k] {
-			if m == obs {
-				return nil
-			}
-		}
-		masks[k] = append(masks[k], obs)
-		return nil
-	}
 	for _, mech := range m.Mechanisms {
 		if err := checkMechanism(m, mech); err != nil {
 			return nil, Result{}, err
@@ -331,11 +437,11 @@ func FromDEM(m *dem.Model) (*Graph, Result, error) {
 		var err error
 		switch len(mech.Detectors) {
 		case 0:
-			err = addMech(b, b, mech.Obs)
+			err = g.AddEdge(b, b, mech.Obs)
 		case 1:
-			err = addMech(mech.Detectors[0], b, mech.Obs)
+			err = g.AddEdge(mech.Detectors[0], b, mech.Obs)
 		case 2:
-			err = addMech(mech.Detectors[0], mech.Detectors[1], mech.Obs)
+			err = g.AddEdge(mech.Detectors[0], mech.Detectors[1], mech.Obs)
 		}
 		if err != nil {
 			return nil, Result{}, err
@@ -354,7 +460,8 @@ func FromDEM(m *dem.Model) (*Graph, Result, error) {
 			continue
 		}
 		res.Graphlike = false
-		if decomposes(mech.Detectors, mech.Obs, b, masks) {
+		g.rem = append(g.rem[:0], mech.Detectors...)
+		if g.partition(g.rem, 0, mech.Obs) {
 			res.Decomposed++
 		} else {
 			res.Undecomposable++
@@ -363,47 +470,36 @@ func FromDEM(m *dem.Model) (*Graph, Result, error) {
 	return g, res, nil
 }
 
-// pair is an unordered detector pair (or detector+boundary) key.
-type pair struct{ u, v int }
-
-func mkPair(u, v int) pair {
-	if u > v {
-		u, v = v, u
+// partition reports whether the detectors rem admit a partition into
+// existing elementary edges whose masks, XORed into acc, give obs.
+// Exhaustive over partitions and over each pair's distinct masks;
+// hyperedges are small (≤ a handful of detectors), so the search space is
+// tiny. It permutes rem in place and restores it before returning.
+func (g *Graph) partition(rem []int, acc, obs uint64) bool {
+	if len(rem) == 0 {
+		return acc == obs
 	}
-	return pair{u, v}
+	// Pair rem[0] with a later detector via an existing elementary edge.
+	for i := 1; i < len(rem); i++ {
+		rem[1], rem[i] = rem[i], rem[1]
+		ok := g.partitionVia(rem[0], rem[1], rem[2:], acc, obs)
+		rem[1], rem[i] = rem[i], rem[1]
+		if ok {
+			return true
+		}
+	}
+	// Or match rem[0] to the boundary via an existing boundary edge.
+	return g.partitionVia(rem[0], g.numDet, rem[1:], acc, obs)
 }
 
-// decomposes reports whether the detector set admits a partition into
-// existing elementary edges whose masks XOR to obs. Exhaustive over
-// partitions and mask choices; hyperedges are small (≤ a handful of
-// detectors), so the search space is tiny.
-func decomposes(dets []int, obs uint64, boundary int, masks map[pair][]uint64) bool {
-	var rec func(remaining []int, acc uint64) bool
-	rec = func(remaining []int, acc uint64) bool {
-		if len(remaining) == 0 {
-			return acc == obs
+// partitionVia tries every edge on pair (u, v) as the next part.
+func (g *Graph) partitionVia(u, v int, rest []int, acc, obs uint64) bool {
+	for ei := g.firstEdge(u, v); ei >= 0; ei = g.edges[ei].next {
+		if g.partition(rest, acc^g.edges[ei].obs, obs) {
+			return true
 		}
-		a := remaining[0]
-		// Pair a with a later detector via an existing elementary edge.
-		for i := 1; i < len(remaining); i++ {
-			for _, m := range masks[mkPair(a, remaining[i])] {
-				rest := make([]int, 0, len(remaining)-2)
-				rest = append(rest, remaining[1:i]...)
-				rest = append(rest, remaining[i+1:]...)
-				if rec(rest, acc^m) {
-					return true
-				}
-			}
-		}
-		// Or match a to the boundary via an existing boundary edge.
-		for _, m := range masks[mkPair(a, boundary)] {
-			if rec(remaining[1:], acc^m) {
-				return true
-			}
-		}
-		return false
 	}
-	return rec(dets, 0)
+	return false
 }
 
 // checkMechanism validates one mechanism's detector list: sorted, distinct,

@@ -218,30 +218,10 @@ func TestNonGraphlikeDecomposition(t *testing.T) {
 }
 
 // memoryDEM synthesizes a clean distance-d memory on the architecture and
-// returns its detector error model.
-func memoryDEM(t *testing.T, kind device.Kind, d, rounds int) *dem.Model {
+// returns its Z-basis detector error model.
+func memoryDEM(t testing.TB, kind device.Kind, d, rounds int) *dem.Model {
 	t.Helper()
-	_, layout, err := synth.FitDevice(kind, d, synth.ModeDefault)
-	if err != nil {
-		t.Fatalf("%v d=%d: fit: %v", kind, d, err)
-	}
-	s, err := synth.SynthesizeOnLayout(context.Background(), layout, synth.Options{})
-	if err != nil {
-		t.Fatalf("%v d=%d: synthesize: %v", kind, d, err)
-	}
-	mem, err := experiment.NewMemory(s, rounds, experiment.Options{SkipVerify: true})
-	if err != nil {
-		t.Fatalf("%v d=%d: memory: %v", kind, d, err)
-	}
-	noisy, err := mem.Noisy(noise.Model{GateError: 1e-3, IdleError: 1e-12})
-	if err != nil {
-		t.Fatalf("%v d=%d: noisy: %v", kind, d, err)
-	}
-	model, err := dem.FromCircuit(noisy)
-	if err != nil {
-		t.Fatalf("%v d=%d: dem: %v", kind, d, err)
-	}
-	return model
+	return basisDEM(t, kind, d, rounds, experiment.BasisZ)
 }
 
 // TestCleanTilingsCertify is the golden acceptance assertion: on a clean
@@ -268,4 +248,38 @@ func TestCleanTilingsCertify(t *testing.T) {
 			})
 		}
 	}
+}
+
+// basisDEM returns the detector error model of a clean distance-d memory on
+// the architecture in the given basis.
+func basisDEM(tb testing.TB, kind device.Kind, d, rounds int, basis experiment.Basis) *dem.Model {
+	tb.Helper()
+	mem, err := experiment.NewMemory(cleanSynthesis(tb, kind, d), rounds, experiment.Options{SkipVerify: true, Basis: basis})
+	if err != nil {
+		tb.Fatalf("%v d=%d: memory: %v", kind, d, err)
+	}
+	noisy, err := mem.Noisy(noise.Model{GateError: 1e-3, IdleError: 1e-12})
+	if err != nil {
+		tb.Fatalf("%v d=%d: noisy: %v", kind, d, err)
+	}
+	model, err := dem.FromCircuit(noisy)
+	if err != nil {
+		tb.Fatalf("%v d=%d: dem: %v", kind, d, err)
+	}
+	return model
+}
+
+// cleanSynthesis synthesizes a distance-d code on the architecture's
+// smallest fitting device.
+func cleanSynthesis(tb testing.TB, kind device.Kind, d int) *synth.Synthesis {
+	tb.Helper()
+	_, layout, err := synth.FitDevice(kind, d, synth.ModeDefault)
+	if err != nil {
+		tb.Fatalf("%v d=%d: fit: %v", kind, d, err)
+	}
+	s, err := synth.SynthesizeOnLayout(context.Background(), layout, synth.Options{})
+	if err != nil {
+		tb.Fatalf("%v d=%d: synthesize: %v", kind, d, err)
+	}
+	return s
 }
