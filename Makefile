@@ -62,7 +62,7 @@ bench:
 
 # Observability smoke: launch cmd/threshold against a live -metrics-addr,
 # scrape /metrics mid-run, and assert the core series (synth stage spans,
-# shots/sec, decoder k-histogram, cache counters) exist and parse as
+# shots/sec, decoder k-histogram, decode-path counters) exist and parse as
 # Prometheus text.
 obs-smoke:
 	$(GO) build -o bin/threshold ./cmd/threshold

@@ -29,13 +29,10 @@ const (
 type benchRow struct {
 	name string
 	opts Options
-	// uncached times the matcher on every non-empty defect set, with no
-	// syndrome cache.
-	uncached bool
 }
 
 var (
-	fastRows = []benchRow{{name: "fast"}, {name: "uncached", uncached: true}}
+	fastRows = []benchRow{{name: "matcher"}}
 	ufRows   = []benchRow{{name: "uf", opts: Options{UnionFind: true}}, {name: "blossom"}}
 )
 
@@ -67,11 +64,11 @@ func squareBatch(b *testing.B, d int, p float64) (*dem.Model, []int, *frame.Batc
 	return model, mem.DetectorRound, batch
 }
 
-// pointSparseChunk compiles the decoder of the point-sparse benchmark
+// pointSparseDecoder compiles the decoder of the point-sparse benchmark
 // workload — the square-tiling d=3 memory over 9 rounds at p=0.0005, with
-// the default idle noise on every qubit — and samples one 1024-shot chunk
-// of it, the unit the Monte-Carlo engine decodes.
-func pointSparseChunk(tb testing.TB) (*Decoder, *frame.Batch) {
+// the default idle noise on every qubit — and returns it with the noisy
+// circuit.
+func pointSparseDecoder(tb testing.TB) (*Decoder, *circuit.Circuit) {
 	tb.Helper()
 	s, err := synth.Synthesize(context.Background(), device.Square(4, 4), 3, synth.Options{})
 	if err != nil {
@@ -85,12 +82,27 @@ func pointSparseChunk(tb testing.TB) (*Decoder, *frame.Batch) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	model, batch := sampleBatch(tb, c, 1, 1024)
+	model, err := dem.FromCircuit(c)
+	if err != nil {
+		tb.Fatal(err)
+	}
 	dec, err := New(model)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return dec, batch
+	return dec, c
+}
+
+// pointSparseChunk samples one 1024-shot chunk of the point-sparse circuit,
+// the unit the Monte-Carlo engine decodes, with its decoder.
+func pointSparseChunk(tb testing.TB) (*Decoder, *frame.Batch) {
+	tb.Helper()
+	dec, c := pointSparseDecoder(tb)
+	s, err := frame.NewSampler(c, rand.New(rand.NewSource(1)))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return dec, s.Sample(1024)
 }
 
 // mergedCircuit builds the distance-d lattice-surgery circuit of two square
@@ -144,60 +156,34 @@ func benchRows(b *testing.B, label string, model *dem.Model, sets [][]int, rows 
 			if err != nil {
 				b.Fatal(err)
 			}
-			benchDecode(b, dec, sets, r.uncached)
+			benchDecode(b, dec, sets)
 		})
 	}
 }
 
 // benchDecode times b.N passes over the defect sets and reports ns/shot.
-// One untimed pass first warms the union-find graph and the scratch; every
-// timed pass then starts from an empty syndrome cache, so hits are only the
-// repeats within one pass, never replays of an earlier one. Rows that use
-// the cache also report the last pass's hit ratio.
-func benchDecode(b *testing.B, dec *Decoder, sets [][]int, uncached bool) {
+// One untimed pass first warms the union-find graph and the scratch.
+func benchDecode(b *testing.B, dec *Decoder, sets [][]int) {
 	s := dec.NewScratch()
-	pass := func() (hits, lookups int) {
+	pass := func() {
 		for _, defects := range sets {
-			if len(defects) == 0 {
-				continue
-			}
-			var hit bool
-			var err error
-			if uncached {
-				_, _, err = dec.decodeMiss(defects, s)
-			} else {
-				_, hit, _, err = dec.decode(defects, s)
-			}
-			if err != nil {
+			if _, _, err := dec.decode(defects, s); err != nil {
 				b.Fatal(err)
 			}
-			lookups++
-			if hit {
-				hits++
-			}
 		}
-		return hits, lookups
 	}
 	pass()
 	b.ReportAllocs()
 	b.ResetTimer()
-	var hits, lookups int
 	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		dec.cache = newSynCache(cacheSize)
-		b.StartTimer()
-		hits, lookups = pass()
+		pass()
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(sets)), "ns/shot")
-	if !uncached && lookups > 0 {
-		b.ReportMetric(float64(hits)/float64(lookups), "cache-hit-ratio")
-	}
 }
 
-// BenchmarkFastPath times the full decode path (syndrome cache, then the
-// matcher) against the uncached matcher on synthesized square-tiling
-// memories.
+// BenchmarkFastPath times the decode path, the matcher on every non-empty
+// defect set, on synthesized square-tiling memories.
 func BenchmarkFastPath(b *testing.B) {
 	for _, d := range []int{3, 5, 7} {
 		model, _, batch := squareBatch(b, d, benchP)
@@ -249,16 +235,15 @@ func pointDecodeChunk(tb testing.TB) (*Decoder, *dem.Model, *frame.Batch) {
 }
 
 // BenchmarkDecodeRange times DecodeRangeScratch over one Monte-Carlo chunk
-// in ns/shot: a point-sparse chunk on a warm scratch and syndrome cache,
-// the steady state of a sub-threshold point, where extracting each shot's
-// defects and looking the sparse syndrome up dominate; and a point-decode
-// chunk near threshold, where every shot reaches the matcher, both on a
-// freshly compiled decoder with a new scratch (the first chunk of a point)
-// and on a warm decoder and scratch from an empty syndrome cache.
+// in ns/shot: a point-sparse chunk on a warm scratch, the steady state of a
+// sub-threshold point, where most shots carry at most two defects; and a
+// point-decode chunk near threshold, where every shot reaches the matcher,
+// both on a freshly compiled decoder with a new scratch (the first chunk of
+// a point) and on a warm decoder and scratch. The decoder keeps no answers,
+// so a warm pass decodes every shot again, as on a freshly sampled chunk.
 func BenchmarkDecodeRange(b *testing.B) {
-	// warm times passes on one decoder and scratch, each from an empty
-	// syndrome cache when coldCache is set.
-	warm := func(b *testing.B, dec *Decoder, batch *frame.Batch, coldCache bool) {
+	// warm times passes on one decoder and scratch.
+	warm := func(b *testing.B, dec *Decoder, batch *frame.Batch) {
 		s := dec.NewScratch()
 		if _, err := dec.DecodeRangeScratch(batch, 0, batch.Shots, s); err != nil {
 			b.Fatal(err)
@@ -266,11 +251,6 @@ func BenchmarkDecodeRange(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if coldCache {
-				b.StopTimer()
-				dec.cache = newSynCache(cacheSize)
-				b.StartTimer()
-			}
 			if _, err := dec.DecodeRangeScratch(batch, 0, batch.Shots, s); err != nil {
 				b.Fatal(err)
 			}
@@ -280,10 +260,10 @@ func BenchmarkDecodeRange(b *testing.B) {
 	}
 	b.Run("point-sparse/warm", func(b *testing.B) {
 		dec, batch := pointSparseChunk(b)
-		warm(b, dec, batch, false)
+		warm(b, dec, batch)
 	})
 	dec, model, batch := pointDecodeChunk(b)
-	b.Run("point-decode/warm", func(b *testing.B) { warm(b, dec, batch, true) })
+	b.Run("point-decode/warm", func(b *testing.B) { warm(b, dec, batch) })
 	b.Run("point-decode/fresh", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

@@ -30,11 +30,14 @@ const weightScale = 1024.0
 
 // Decoder is a compiled MWPM decoder for a fixed detector error model.
 //
-// A bounded syndrome→observable cache short-circuits repeated syndromes;
-// every miss goes to the sparse-blossom matcher, which finds a
-// minimum-weight pairing of the whole defect set on the detector graph.
-// Corrections of equal weight are equally valid, and the matcher's choice
-// between them is a pure function of the decoder and the defect set.
+// Every non-empty defect set goes to the sparse-blossom matcher, which
+// finds a minimum-weight pairing of the whole defect set on the detector
+// graph. Corrections of equal weight are equally valid, and the matcher's
+// choice between them is a pure function of the decoder and the defect
+// set. Apart from the union-find graph it publishes once, a Decoder holds
+// no state that changes as it decodes: each caller's Scratch is the only
+// mutable decode state, so any number of goroutines decode concurrently
+// on one Decoder without sharing a lock.
 type Decoder struct {
 	numDet int
 	numObs int
@@ -54,9 +57,6 @@ type Decoder struct {
 	obs []uint64
 
 	opts Options
-
-	// cache memoizes syndrome→observable-mask results.
-	cache *synCache
 
 	// ufg is the lazily compiled union-find decoding graph: a pure function
 	// of the immutable CSR graph, CAS-published so that every caller
@@ -237,7 +237,6 @@ func NewWithOptions(model *dem.Model, opts Options) (*Decoder, error) {
 		d.to[ev], d.w[ev], d.obs[ev] = int32(k.u), w, masks[k]
 	}
 	d.opts = opts
-	d.cache = newSynCache(cacheSize)
 	return d, nil
 }
 
@@ -309,43 +308,27 @@ func (d *Decoder) Decode(defects []int) (uint64, error) {
 	return d.DecodeWithScratch(defects, d.NewScratch())
 }
 
-// decodePath labels which decode route answered a miss, for the Stats
-// breakdown.
+// decodePath labels which decode route answered a defect set, for the
+// Stats breakdown.
 type decodePath uint8
 
 const (
-	pathNone    decodePath = iota
-	pathK1                 // the matcher, on one defect
-	pathK2                 // the matcher, on two defects
-	pathBlossom            // the matcher, on three or more defects
+	pathNone    decodePath = iota // an empty defect set: nothing to decode
+	pathK1                        // the matcher, on one defect
+	pathK2                        // the matcher, on two defects
+	pathBlossom                   // the matcher, on three or more defects
 	pathUF
 	pathUFFallback // union-find escalated to the matcher
 )
 
-// decode is the shared decode entry: cache lookup, then the matcher (or
-// union-find). It reports whether the syndrome cache answered the query and
-// which route computed it on a miss.
-func (d *Decoder) decode(defects []int, s *Scratch) (uint64, bool, decodePath, error) {
-	if len(defects) == 0 {
-		return 0, false, pathNone, nil
-	}
-	s.key = appendSyndromeKey(s.key[:0], defects)
-	if obs, ok := d.cache.get(s.key); ok {
-		return obs, true, pathNone, nil
-	}
-	obs, path, err := d.decodeMiss(defects, s)
-	if err != nil {
-		return 0, false, path, err
-	}
-	d.cache.put(s.key, obs)
-	return obs, false, path, nil
-}
-
-// decodeMiss decodes a non-empty, uncached defect set: union-find first
-// for three or more defects when enabled, the matcher otherwise.
-func (d *Decoder) decodeMiss(defects []int, s *Scratch) (uint64, decodePath, error) {
+// decode is the one decode path: union-find first for three or more
+// defects when enabled, the matcher otherwise. It reports which route
+// answered.
+func (d *Decoder) decode(defects []int, s *Scratch) (uint64, decodePath, error) {
 	path := pathBlossom
 	switch len(defects) {
+	case 0:
+		return 0, pathNone, nil
 	case 1:
 		path = pathK1
 	case 2:
@@ -422,43 +405,40 @@ func (d *Decoder) decodeUF(defects []int, s *Scratch) (uint64, bool) {
 // essentially all mass.
 const KHistBuckets = 9
 
-// Stats summarizes a decoded batch.
+// Stats summarizes a decoded batch. Every counter is a pure function of
+// the decoded shots, so per-range tallies merge to the same totals at any
+// worker count.
 type Stats struct {
 	Shots         int
 	LogicalErrors int // shots where prediction != actual observable flips
 
-	// CacheHits and CacheMisses count syndrome-cache outcomes over the
-	// non-empty defect sets decoded. They are observability counters: which
-	// range first sees a syndrome depends on goroutine scheduling, so
-	// unlike Shots and LogicalErrors they are not bit-identical across
-	// worker counts.
+	// CacheMisses counts the non-empty defect sets decoded, which is every
+	// one of them. CacheHits is never set: it stays only because
+	// cmd/bench reads it.
 	CacheHits   int
 	CacheMisses int
 
-	// Decode-path breakdown over cache misses the matcher answered: sets
-	// of one defect, of two, and of three or more. Like the cache
-	// counters these depend on which range first warmed the cache, so
-	// they are observability counters, not bit-identical quantities.
+	// Decode-path breakdown over the defect sets the matcher answered:
+	// sets of one defect, of two, and of three or more.
 	FastK1  int
 	FastK2  int
 	Blossom int
 
-	// UFShots counts cache misses the union-find decoder answered;
-	// UFFallbacks counts misses where union-find escalated to the matcher
+	// UFShots counts defect sets the union-find decoder answered;
+	// UFFallbacks counts sets where union-find escalated to the matcher
 	// (those shots are also counted in Blossom). Both zero unless
-	// Options.UnionFind is set. Same caveat as the other path counters.
+	// Options.UnionFind is set.
 	UFShots     int
 	UFFallbacks int
 
 	// WindowCommits counts sliding-window commit steps performed by
-	// streaming decode (zero for whole-shot decoding). Deterministic: a
-	// pure function of the shot count and the window geometry.
+	// streaming decode (zero for whole-shot decoding): a pure function of
+	// the shot count and the window geometry.
 	WindowCommits int
 
 	// KHist is the syndrome-weight histogram: KHist[k] counts shots whose
 	// defect set had exactly k flipped detectors, with the last bucket
-	// absorbing k >= KHistBuckets-1. Deterministic (a pure function of the
-	// sampled batch), unlike the path counters above.
+	// absorbing k >= KHistBuckets-1.
 	KHist [KHistBuckets]int
 }
 
@@ -494,13 +474,12 @@ func (s Stats) Merge(o Stats) Stats {
 // DecodeRangeScratch decodes shots [lo, hi) of a batch serially on the
 // calling goroutine and compares predictions against the actual observable
 // flips. Defects are extracted one 64-shot word at a time, and the word's
-// defect lists, cache keys and matcher state all live in the caller-owned
-// scratch s, so the steady-state hot loop allocates only the keys of new
-// cache entries; s must not be shared between concurrent calls. Shots decode in
-// ascending order. The decoder's tables are immutable (or published
-// atomically) after construction, so disjoint ranges decode concurrently
-// with one scratch each, and callers that shard a batch merge the
-// per-range Stats.
+// defect lists and matcher state live in the caller-owned scratch s, so
+// the steady-state hot loop allocates nothing; s must not be shared
+// between concurrent calls. Shots decode in ascending order. The decoder's
+// tables are immutable (or published atomically) after construction, so
+// disjoint ranges decode concurrently with one scratch each, and callers
+// that shard a batch merge the per-range Stats.
 func (d *Decoder) DecodeRangeScratch(batch *frame.Batch, lo, hi int, s *Scratch) (Stats, error) {
 	var stats Stats
 	for w := lo / 64; w*64 < hi; w++ {
@@ -510,11 +489,11 @@ func (d *Decoder) DecodeRangeScratch(batch *frame.Batch, lo, hi int, s *Scratch)
 		for i := first; i < end; i++ {
 			shot := w*64 + i
 			defects := s.dets[s.off[i]:s.off[i+1]]
-			pred, hit, path, err := d.decode(defects, s)
+			pred, path, err := d.decode(defects, s)
 			if err != nil {
 				return stats, err
 			}
-			stats.count(len(defects), hit, path)
+			stats.count(len(defects), path)
 			if pred != batch.ObservableMask(shot) {
 				stats.LogicalErrors++
 			}
@@ -523,17 +502,13 @@ func (d *Decoder) DecodeRangeScratch(batch *frame.Batch, lo, hi int, s *Scratch)
 	return stats, nil
 }
 
-// count tallies one decoded shot of k defects: its histogram bucket, its
-// cache outcome and the decode path that answered a miss.
-func (s *Stats) count(k int, hit bool, path decodePath) {
+// count tallies one decoded shot of k defects: its histogram bucket and
+// the decode path that answered it.
+func (s *Stats) count(k int, path decodePath) {
 	s.Shots++
 	s.KHist[min(k, KHistBuckets-1)]++
 	if k > 0 {
-		if hit {
-			s.CacheHits++
-		} else {
-			s.CacheMisses++
-		}
+		s.CacheMisses++
 	}
 	switch path {
 	case pathK1:

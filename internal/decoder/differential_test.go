@@ -57,10 +57,10 @@ func randomDefects(rng *rand.Rand, numDet, maxK int) []int {
 	return dets
 }
 
-// diffDecoders holds a decoder's full path — syndrome cache and scratch s
-// — on one defect set to the matcher on ref, a decoder compiled
-// separately, with its own scratch: identical predictions, and errors
-// (unmatchable sets) on both or neither. The matcher on ref must pass
+// diffDecoders holds a decoder's full path, on its reused scratch s, on one
+// defect set to the matcher on ref, a decoder compiled separately, with a
+// fresh scratch: identical predictions, and errors (unmatchable sets) on
+// both or neither. The matcher on ref must pass
 // checkOracle against the Galil reference g. It returns the prediction.
 func diffDecoders(t *testing.T, fast, ref *Decoder, g *galil, s *Scratch, defects []int) uint64 {
 	t.Helper()
@@ -214,10 +214,12 @@ func TestFastPathMatchesSlowPathOnSynthesizedCircuits(t *testing.T) {
 
 func TestFastPathMatchesSlowPathOnSampledBatches(t *testing.T) {
 	// End to end over sampled batches: every shot's prediction matches the
-	// uncached matcher on a separately compiled decoder, which passes the
-	// oracle, and DecodeBatch counts that reference's logical errors. The
-	// inputs are repetition memories at p=0.02 and the heavy-square memory
-	// of the decoder ablations.
+	// matcher on a separately compiled decoder, which passes the oracle,
+	// and DecodeBatch counts that reference's logical errors. Its path
+	// counters count every decoded set: CacheMisses the non-empty ones,
+	// FastK1, FastK2 and Blossom those of one, two and three or more
+	// defects. The inputs are repetition memories at p=0.02 and the
+	// heavy-square memory of the decoder ablations.
 	type input struct {
 		name  string
 		c     *circuit.Circuit
@@ -254,9 +256,13 @@ func TestFastPathMatchesSlowPathOnSampledBatches(t *testing.T) {
 			}
 			batch := sampler.Sample(in.shots)
 			s, g := fast.NewScratch(), newGalil(ref)
-			refErrors := 0
+			refErrors, nonEmpty := 0, 0
 			for shot := 0; shot < batch.Shots; shot++ {
-				if diffDecoders(t, fast, ref, g, s, batch.ShotDetectors(shot)) != batch.ObservableMask(shot) {
+				defects := batch.ShotDetectors(shot)
+				if len(defects) > 0 {
+					nonEmpty++
+				}
+				if diffDecoders(t, fast, ref, g, s, defects) != batch.ObservableMask(shot) {
 					refErrors++
 				}
 			}
@@ -268,62 +274,17 @@ func TestFastPathMatchesSlowPathOnSampledBatches(t *testing.T) {
 				t.Fatalf("stats %+v, want %d shots and the reference's %d logical errors",
 					stats, batch.Shots, refErrors)
 			}
+			k3 := 0
+			for _, c := range stats.KHist[3:] {
+				k3 += c
+			}
+			if stats.CacheHits != 0 || stats.CacheMisses != nonEmpty ||
+				stats.FastK1 != stats.KHist[1] || stats.FastK2 != stats.KHist[2] || stats.Blossom != k3 {
+				t.Fatalf("stats %+v: want no CacheHits, CacheMisses = %d non-empty shots, "+
+					"FastK1 = KHist[1], FastK2 = KHist[2] and Blossom = %d shots of three or more defects",
+					stats, nonEmpty, k3)
+			}
 		})
-	}
-}
-
-func TestSyndromeCacheCountersAndBound(t *testing.T) {
-	c := noise.Uniform(0.02).MustApply(repetitionMemory(3, 3))
-	model, err := dem.FromCircuit(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec, err := New(model)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec.cache = newSynCache(4)
-	ref, err := New(model)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sampler, err := frame.NewSampler(c, rand.New(rand.NewSource(9)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch := sampler.Sample(1500)
-	stats, err := dec.DecodeBatch(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nonEmpty, refErrors := 0, 0
-	rs := ref.NewScratch()
-	for shot := 0; shot < batch.Shots; shot++ {
-		defects := batch.ShotDetectors(shot)
-		if len(defects) > 0 {
-			nonEmpty++
-		}
-		pairs, err := ref.matchPairs(defects, &rs.m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if pairsObs(pairs) != batch.ObservableMask(shot) {
-			refErrors++
-		}
-	}
-	if stats.CacheHits+stats.CacheMisses != nonEmpty {
-		t.Fatalf("hits %d + misses %d != non-empty shots %d",
-			stats.CacheHits, stats.CacheMisses, nonEmpty)
-	}
-	if stats.CacheHits == 0 {
-		t.Fatal("no cache hits over 1500 low-p shots; sparse syndromes should repeat")
-	}
-	if got := dec.cache.size(); got > 4 {
-		t.Fatalf("cache grew to %d entries past its bound of 4", got)
-	}
-	if stats.LogicalErrors != refErrors {
-		t.Fatalf("cache changed decode results: %d errors, reference %d",
-			stats.LogicalErrors, refErrors)
 	}
 }
 

@@ -81,12 +81,12 @@ func TestUFRoutesKGe3AndCounts(t *testing.T) {
 
 	// k<=2 stays on the matcher.
 	for _, defects := range [][]int{{3}, {3, 4}} {
-		if _, path, err := ufDec.decodeMiss(defects, s); err != nil || (path != pathK1 && path != pathK2) {
+		if _, path, err := ufDec.decode(defects, s); err != nil || (path != pathK1 && path != pathK2) {
 			t.Fatalf("defects %v took path %d (err %v); want the matcher", defects, path, err)
 		}
 	}
 	// k>=3 routes through union-find.
-	obs, path, err := ufDec.decodeMiss([]int{3, 4, 20, 21, 30, 31}, s)
+	obs, path, err := ufDec.decode([]int{3, 4, 20, 21, 30, 31}, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestUFRoutesKGe3AndCounts(t *testing.T) {
 		t.Fatalf("uf predicted %b, blossom %b on isolated pairs", obs, want)
 	}
 	// Without the option the same decoder build uses the matcher.
-	if _, path, err := plain.decodeMiss([]int{3, 4, 20, 21, 30, 31}, plain.NewScratch()); err != nil || path != pathBlossom {
+	if _, path, err := plain.decode([]int{3, 4, 20, 21, 30, 31}, plain.NewScratch()); err != nil || path != pathBlossom {
 		t.Fatalf("UnionFind=false took path %d (err %v); want blossom", path, err)
 	}
 }
@@ -122,7 +122,7 @@ func TestUFFallbackOnUndecodableCluster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, path, err := dec.decodeMiss([]int{0, 1, 2}, dec.NewScratch())
+	_, path, err := dec.decode([]int{0, 1, 2}, dec.NewScratch())
 	if err == nil {
 		t.Fatal("odd defect parity on a boundaryless component decoded successfully")
 	}
@@ -130,7 +130,7 @@ func TestUFFallbackOnUndecodableCluster(t *testing.T) {
 		t.Fatalf("undecodable cluster took path %d; want pathUFFallback", path)
 	}
 	// Even parity on the same component decodes fine through union-find.
-	obs, path, err := dec.decodeMiss([]int{0, 1, 2, 3}, dec.NewScratch())
+	obs, path, err := dec.decode([]int{0, 1, 2, 3}, dec.NewScratch())
 	if err != nil || path != pathUF {
 		t.Fatalf("even-parity decode: path %d err %v", path, err)
 	}
@@ -149,9 +149,8 @@ func TestUFFallbackOnUndecodableCluster(t *testing.T) {
 
 func TestUFStatsCountersInDecodeRange(t *testing.T) {
 	// High-p repetition memory: plenty of k>=3 shots. UFShots must count
-	// every k>=3 cache miss — one per distinct k>=3 syndrome, since the
-	// batch never fills the cache; UFFallbacks stays zero (every component
-	// touches the boundary).
+	// every shot with at least three defects; UFFallbacks stays zero
+	// (every component touches the boundary).
 	c := noise.Uniform(0.05).MustApply(repetitionMemory(7, 7))
 	model, err := dem.FromCircuit(c)
 	if err != nil {
@@ -170,17 +169,17 @@ func TestUFStatsCountersInDecodeRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	distinct := map[string]bool{}
+	k3 := 0
 	for shot := 0; shot < batch.Shots; shot++ {
-		if defects := batch.ShotDetectors(shot); len(defects) >= 3 {
-			distinct[fmt.Sprint(defects)] = true
+		if len(batch.ShotDetectors(shot)) >= 3 {
+			k3++
 		}
 	}
-	if len(distinct) == 0 {
+	if k3 == 0 {
 		t.Fatal("no k>=3 shots at p=0.05; test setup is wrong")
 	}
-	if st.UFShots != len(distinct) {
-		t.Fatalf("UFShots = %d; want %d (every distinct k>=3 syndrome)", st.UFShots, len(distinct))
+	if st.UFShots != k3 {
+		t.Fatalf("UFShots = %d; want %d (every k>=3 shot)", st.UFShots, k3)
 	}
 	if st.UFFallbacks != 0 || st.Blossom != 0 {
 		t.Fatalf("unexpected escalations: %+v", st)
@@ -319,15 +318,15 @@ func FuzzUFvsBlossom(f *testing.F) {
 
 		// Random regime: arbitrary defect sets. UF may legally pick a
 		// heavier correction, but it must (a) succeed exactly when blossom
-		// does and (b) never beat the true minimum weight. decodeMiss skips
-		// the syndrome cache, so s.ufs always holds this set's correction.
+		// does and (b) never beat the true minimum weight. decode runs
+		// union-find on every k>=3 set, so s.ufs holds this set's correction.
 		s := ufDec.NewScratch()
 		for trial := 0; trial < 20; trial++ {
 			defects := randomDefects(rng, numDet, 8)
 			if len(defects) == 0 {
 				continue
 			}
-			_, _, gotErr := ufDec.decodeMiss(defects, s)
+			_, _, gotErr := ufDec.decode(defects, s)
 			_, _, wantErr := g.decode(defects)
 			if (gotErr != nil) != (wantErr != nil) {
 				t.Fatalf("defects %v: uf err=%v reference err=%v", defects, gotErr, wantErr)
@@ -352,8 +351,6 @@ func FuzzUFvsBlossom(f *testing.F) {
 func TestUFDecodeZeroAlloc(t *testing.T) {
 	// The union-find hot loop must be allocation-free at steady state:
 	// warm one scratch through a k>=3 batch, then assert zero allocs/shot.
-	// decodeMiss skips the syndrome cache, so every pass exercises the uf
-	// path, not the map.
 	c := noise.Uniform(0.05).MustApply(repetitionMemory(7, 7))
 	model, err := dem.FromCircuit(c)
 	if err != nil {
@@ -376,7 +373,7 @@ func TestUFDecodeZeroAlloc(t *testing.T) {
 			if len(defects) == 0 {
 				continue
 			}
-			if _, _, err := dec.decodeMiss(defects, s); err != nil {
+			if _, _, err := dec.decode(defects, s); err != nil {
 				t.Fatal(err)
 			}
 		}

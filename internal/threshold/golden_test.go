@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 	"testing"
@@ -21,9 +22,9 @@ import (
 
 // goldenPoints holds the digest of every seeded point TestPointGoldens
 // estimates, keyed by point name and worker count. A digest covers the
-// point's Shots and Errors and, where the registry's totals are a pure
-// function of the sampled shots, the union-find and window-commit counters
-// and the syndrome-weight histogram (see pointDigest).
+// point's Shots and Errors, its union-find and window-commit counters and
+// its syndrome-weight histogram (see pointDigest). Every decoder series is
+// a pure function of the sampled shots, so a point's two digests agree.
 var goldenPoints = map[string]string{
 	"square/d3/p0.0005/w1":           "5412445cfd7903a1acf1ed5eb89b3490f0261f827e87f2fb010f9643f13ae542",
 	"square/d3/p0.0005/w2":           "5412445cfd7903a1acf1ed5eb89b3490f0261f827e87f2fb010f9643f13ae542",
@@ -45,8 +46,8 @@ var goldenPoints = map[string]string{
 	"heavy-hexagon/d3/p0.0005/w2":    "ddb8798a4620c9ffbb0ad4f7d979e106792741a30f53117eb50757fbb0ab7efc",
 	"heavy-hexagon/d3/p0.003/w1":     "8faed1b99655c63d564d8e04316a8415a304de3540a23494e4f799070612a2ad",
 	"heavy-hexagon/d3/p0.003/w2":     "8faed1b99655c63d564d8e04316a8415a304de3540a23494e4f799070612a2ad",
-	"square/d3/uf/w1":                "e1bcd468d0537fda30b717333dbc61bc2f14644c5e8c79e4eab973065b1f073c",
-	"square/d3/uf/w2":                "25796f1442be93094c61e6f0ad04e7664c34e30682224ca00e3afb8be976fd3b",
+	"square/d3/uf/w1":                "836ed58388094c94dbdbe5e29958fd318270b467d1bfad02afc301932db8bcf7",
+	"square/d3/uf/w2":                "836ed58388094c94dbdbe5e29958fd318270b467d1bfad02afc301932db8bcf7",
 	"square/d3/uf-stream-w3c1/w1":    "da10a65d2799c1864973552e8087e1efa3d27ecdf9e38711bf01432afa816459",
 	"square/d3/uf-stream-w3c1/w2":    "da10a65d2799c1864973552e8087e1efa3d27ecdf9e38711bf01432afa816459",
 	"square/d3/no-idle/w1":           "2cf980a03fc7cdb3b4f463135949fcc09fb3cf2a4ea8cdba7585a78338a9d58c",
@@ -109,7 +110,8 @@ func pointDigest(pt Point, snap map[string]float64, series []string) string {
 // tiling at d=3 below and near threshold, heavy-hexagon d=5 over 15 rounds,
 // union-find whole-shot and streaming decoding, a calibrated noise
 // builder, idle noise off, an X-basis memory and both adaptive stops, each
-// at 1 and 2 workers. 3000 shots leave a partial final chunk and a partial
+// at 1 and 2 workers. Every decoder_* series must also read the same at 2
+// workers as at 1. 3000 shots leave a partial final chunk and a partial
 // final word. Under -short only the d=3 points run.
 func TestPointGoldens(t *testing.T) {
 	type point struct {
@@ -155,6 +157,7 @@ func TestPointGoldens(t *testing.T) {
 	}
 
 	for _, pt := range points {
+		var oneWorker map[string]float64
 		for _, workers := range []int{1, 2} {
 			name := fmt.Sprintf("%s/w%d", pt.name, workers)
 			cfg := pt.cfg
@@ -171,13 +174,7 @@ func TestPointGoldens(t *testing.T) {
 					series = append(series, name)
 				}
 			}
-			series = append(series, "decoder_window_commits_total")
-			// Whole-shot union-find counts syndrome-cache misses, and two
-			// workers can miss on the same syndrome at once; the stream has
-			// no cache, so it pins them at any worker count.
-			if !cfg.Decoder.UnionFind || cfg.Stream != nil || workers == 1 {
-				series = append(series, "decoder_uf_total", "decoder_uf_fallback_total")
-			}
+			series = append(series, "decoder_window_commits_total", "decoder_uf_total", "decoder_uf_fallback_total")
 			digest := pointDigest(got, snap, series)
 			want, ok := goldenPoints[name]
 			switch {
@@ -185,6 +182,17 @@ func TestPointGoldens(t *testing.T) {
 				t.Errorf("%s: no golden digest; got %q (%d errors in %d shots)", name, digest, got.Errors, got.Shots)
 			case digest != want:
 				t.Errorf("%s: digest %s, want %s (%d errors in %d shots)", name, digest, want, got.Errors, got.Shots)
+			}
+			decoderSeries := map[string]float64{}
+			for name, v := range snap {
+				if strings.HasPrefix(name, "decoder_") {
+					decoderSeries[name] = v
+				}
+			}
+			if oneWorker == nil {
+				oneWorker = decoderSeries
+			} else if !maps.Equal(decoderSeries, oneWorker) {
+				t.Errorf("%s: decoder series %v differ from 1 worker's %v", name, decoderSeries, oneWorker)
 			}
 		}
 	}

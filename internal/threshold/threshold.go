@@ -73,8 +73,8 @@ type Config struct {
 	Progress func(p float64, pr mc.Progress)
 	// Registry, when non-nil, receives live metrics: the Monte-Carlo
 	// engine's shot/rate series plus the decoder's syndrome-weight
-	// histogram, decode-path breakdown and cache hit/miss counters,
-	// promoted from per-worker tallies at chunk boundaries.
+	// histogram, decoded-set count and decode-path breakdown, promoted
+	// from per-worker tallies at chunk boundaries.
 	Registry *obs.Registry
 	// Noise, when non-nil, builds the channel applier for each sweep point
 	// (e.g. noise.BuilderFor on a calibrated device, which derives
@@ -82,8 +82,8 @@ type Config struct {
 	// before, keeping uncalibrated results bit-identical.
 	Noise noise.Builder
 	// Decoder passes options through to the decoder compile — the ablation
-	// hook for the union-find path (Decoder.UnionFind) and the cache and
-	// decomposition switches. The zero value reproduces decoder.New.
+	// hook for the union-find path (Decoder.UnionFind) and the
+	// decomposition switch. The zero value reproduces decoder.New.
 	Decoder decoder.Options
 	// Stream, when non-nil, replaces whole-shot decoding with sliding-
 	// window streaming decode (the real-time ablation mode): each shot's
@@ -182,7 +182,6 @@ func EstimatePointContext(ctx context.Context, in Input, p float64, cfg Config) 
 	// either way the hot loop only pays plain per-worker int increments,
 	// with atomics touched once per chunk.
 	var (
-		mCacheHits   = cfg.Registry.Counter("decoder_cache_hits_total")
 		mCacheMisses = cfg.Registry.Counter("decoder_cache_misses_total")
 		mFastK1      = cfg.Registry.Counter("decoder_fast_k1_total")
 		mFastK2      = cfg.Registry.Counter("decoder_fast_k2_total")
@@ -209,7 +208,6 @@ func EstimatePointContext(ctx context.Context, in Input, p float64, cfg Config) 
 			st := parked[pr.Chunks-1]
 			delete(parked, pr.Chunks-1)
 			parkedMu.Unlock()
-			mCacheHits.Add(int64(st.CacheHits))
 			mCacheMisses.Add(int64(st.CacheMisses))
 			mFastK1.Add(int64(st.FastK1))
 			mFastK2.Add(int64(st.FastK2))
@@ -254,8 +252,8 @@ func EstimatePointContext(ctx context.Context, in Input, p float64, cfg Config) 
 	} else {
 		// Worker states are pooled across chunks so each worker goroutine
 		// samples into the same planes and reuses its decode buffers
-		// (defect lists, cache keys, matcher state) for the whole point
-		// instead of reallocating per chunk.
+		// (defect lists, matcher state) for the whole point instead of
+		// reallocating per chunk.
 		workers := sync.Pool{New: func() any { return &chunkWorker{s: dec.NewScratch()} }}
 		res, err = mc.Run(ctx, mcCfg, func(chunk int, rng *rand.Rand, shots int) (mc.Tally, error) {
 			w := workers.Get().(*chunkWorker)

@@ -310,8 +310,8 @@ type RunConfig struct {
 	UnionFind bool
 	// Registry, when non-nil, receives live metrics from the run: the
 	// Monte-Carlo engine's shot counters and shots/sec gauge, the decoder's
-	// syndrome-weight histogram, decode-path and cache counters, and
-	// per-stage span timings.
+	// syndrome-weight histogram and decode-path counters, and per-stage
+	// span timings.
 	Registry *Registry
 }
 
